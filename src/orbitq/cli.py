@@ -9,15 +9,14 @@ Failures print one line to stderr and exit nonzero. Given identical flags
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
+from .artifacts import write_json
 from .model import ParameterError, grid_steps, load_config
 from .fluid import (
     FluidIntegrationError,
-    PicardConvergenceError,
     integrate_schedule,
     stationary_state,
     total_arrival_rate,
@@ -45,15 +44,14 @@ from .validation import (
     write_sl_ap_table_csv,
 )
 
+# ValueError covers ParameterError, malformed JSON and malformed flag values
 _HANDLED = (
-    ParameterError,
+    ValueError,
     FluidIntegrationError,
-    PicardConvergenceError,
     CTMCError,
     TruncationError,
     SimulationError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -68,19 +66,10 @@ def _atomic(path: Path, writer) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _record_every(grid: float, step: float) -> int:
-    """Records per ODE step so output lands exactly on the sim grid."""
-    return grid_steps(grid, step)
 
 
 def _done(path: Path) -> None:
@@ -91,7 +80,7 @@ def cmd_fluid(args) -> int:
     schedule = load_config(args.config)
     out = _out_dir(args)
     traj = integrate_schedule(schedule, step=args.step,
-                              record_every=_record_every(args.grid, args.step))
+                              record_every=grid_steps(args.grid, args.step))
     _done(_atomic(out / "trajectory.csv",
                   lambda p: write_trajectory_csv(p, traj, schedule)))
 
@@ -111,7 +100,7 @@ def cmd_fluid(args) -> int:
         "clamp_events": traj.clamp_events,
         "step": args.step,
     }
-    _done(_atomic(out / "stationary.json", lambda p: _write_json(p, payload)))
+    _done(_atomic(out / "stationary.json", lambda p: write_json(p, payload)))
     return 0
 
 
@@ -152,7 +141,7 @@ def cmd_erlang(args) -> int:
         schedule = refine_schedule(schedule, args.block)
     out = _out_dir(args)
     traj = integrate_schedule(schedule, step=args.step,
-                              record_every=_record_every(args.grid, args.step))
+                              record_every=grid_steps(args.grid, args.step))
     perf = psa_performance(schedule, total_arrival_rate(traj, schedule),
                            tau=args.tau)
     _done(_atomic(out / "performance.csv",
@@ -278,9 +267,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

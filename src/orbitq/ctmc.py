@@ -16,7 +16,6 @@ exactly what the fluid approximation is for.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from .artifacts import write_json
 from .model import ModelParams, ParameterError, validate
 
 MAX_STATES = 10_000_000
@@ -301,4 +301,4 @@ def write_fixture_json(path: str | Path, chain: TruncatedChain,
         "redirected_fraction": solution.redirected_fraction,
         "method": solution.method,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload)

@@ -18,11 +18,15 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
+from .artifacts import write_csv
 from .model import ParameterError, Schedule
 from .fluid import RateDecomposition
 
 TAIL_TOL = 1e-10
 MAX_DOUBLINGS = 3
+# largest truncation level steady_state allocates, the same state limit
+# as ctmc.MAX_STATES
+MAX_LEVELS = 10_000_000
 
 
 class TruncationError(RuntimeError):
@@ -66,15 +70,26 @@ class ErlangAInput:
         return self.s + math.ceil(head)
 
 
+def _checked_levels(n: int) -> int:
+    if n > MAX_LEVELS:
+        raise ParameterError(
+            f"truncation level n_max={n} exceeds the limit of {MAX_LEVELS} "
+            "states; the load is too heavy or the patience too long"
+        )
+    return n
+
+
 def steady_state(inp: ErlangAInput) -> np.ndarray:
     """Stationary distribution over {0..N} of the M/M/s+M birth-death chain.
 
     Death rate at n is mu*min(n,s) + theta*(n-s)^+. Raises
     :class:`TruncationError` when the last point mass exceeds 1e-10; with
     a defaulted truncation the headroom is doubled up to 3 times first.
+    Raises :class:`ParameterError`, before allocating, when a truncation
+    level (a doubled one included) exceeds ``MAX_LEVELS``.
     """
     if inp.arrival_rate == 0.0:
-        n = inp.n_max if inp.n_max is not None else inp.s
+        n = _checked_levels(inp.n_max if inp.n_max is not None else inp.s)
         pi = np.zeros(n + 1)
         pi[0] = 1.0
         return pi
@@ -84,7 +99,7 @@ def steady_state(inp: ErlangAInput) -> np.ndarray:
     attempts = MAX_DOUBLINGS + 1 if auto else 1
     log_rate = math.log(inp.arrival_rate)
     for _ in range(attempts):
-        levels = np.arange(1, n + 1)
+        levels = np.arange(1, _checked_levels(n) + 1)
         death = inp.mu * np.minimum(levels, inp.s) + inp.theta * np.maximum(
             levels - inp.s, 0)
         logpi = np.concatenate([[0.0], np.cumsum(log_rate - np.log(death))])
@@ -202,7 +217,7 @@ class PerformanceSummary:
 
 def psa_performance(
     schedule: Schedule,
-    fluid_rates: list[RateDecomposition],
+    fluid_rates: RateDecomposition,
     tau: float,
     n_max: int | None = None,
 ) -> PerformanceSummary:
@@ -215,10 +230,10 @@ def psa_performance(
     formulas at (Lambda_i, s_i); the aggregate weights intervals by
     expected arrivals Lambda_i * length.
     """
-    if not fluid_rates:
+    times = fluid_rates.t
+    if times.size == 0:
         raise ParameterError("fluid_rates is empty")
-    times = np.array([r.t for r in fluid_rates])
-    orbit = np.array([r.redial + r.reconnect for r in fluid_rates])
+    orbit = fluid_rates.redial + fluid_rates.reconnect
     if times[0] > 1e-9 or times[-1] < schedule.horizon - 1e-9:
         raise ParameterError(
             f"fluid_rates span [{times[0]}, {times[-1]}] does not cover "
@@ -258,15 +273,14 @@ PERFORMANCE_CSV_HEADER = "interval,t_start,t_end,lambda_mean,s,sl,ap"
 
 
 def write_performance_csv(path: str | Path, summary: PerformanceSummary) -> None:
-    lines = [PERFORMANCE_CSV_HEADER]
-    for r in summary.intervals:
-        lines.append(
-            f"{r.index},{r.t_start!r},{r.t_end!r},{r.lambda_mean!r},"
-            f"{r.s},{r.sl!r},{r.ap!r}"
-        )
-    first, last = summary.intervals[0], summary.intervals[-1]
-    lines.append(
-        f"aggregate,{first.t_start!r},{last.t_end!r},"
-        f"{summary.lambda_mean!r},,{summary.sl!r},{summary.ap!r}"
-    )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One row per interval plus an ``aggregate`` row with an empty s cell."""
+    rows = summary.intervals
+    write_csv(path, PERFORMANCE_CSV_HEADER, [
+        [*(r.index for r in rows), "aggregate"],
+        [*(r.t_start for r in rows), rows[0].t_start],
+        [*(r.t_end for r in rows), rows[-1].t_end],
+        [*(r.lambda_mean for r in rows), summary.lambda_mean],
+        [*(r.s for r in rows), ""],
+        [*(r.sl for r in rows), summary.sl],
+        [*(r.ap for r in rows), summary.ap],
+    ])

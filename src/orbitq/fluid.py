@@ -7,9 +7,10 @@ The state z = (z_q, z_rd, z_rc) evolves by
     dz_rd/dt = p*theta*(z_q - s)^+ - delta_rd*z_rd
     dz_rc/dt = q*mu*min(s, z_q) - delta_rc*z_rc
 
-with lam and s piecewise constant over a staffing schedule. Two solvers
-are provided: a fixed-step RK4 integrator and a fixed-point iteration on
-the equivalent integral equations; they cross-validate each other.
+with lam and s piecewise constant over a staffing schedule, solved by
+fixed-step RK4 restarted at each interval boundary. The expected total
+arrival rate lam + delta_rd*z_rd + delta_rc*z_rc along the solved path
+is what drives the Erlang-A step.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv
 from .model import (
     EMPTY_STATE,
     FluidState,
@@ -39,10 +41,6 @@ class FluidIntegrationError(RuntimeError):
     """Integration produced a non-finite state."""
 
 
-class PicardConvergenceError(RuntimeError):
-    """Fixed-point iteration did not reach tolerance within max_iter."""
-
-
 class Regime(enum.Enum):
     UNDERLOADED = "underloaded"   # rho_hat < 1
     OVERLOADED = "overloaded"     # rho_hat >= 1
@@ -59,13 +57,17 @@ class StationaryState:
 
 @dataclass(frozen=True)
 class RateDecomposition:
-    """Instantaneous arrival rate split by origin; total is the exact sum."""
+    """Instantaneous arrival rate split by origin along a trajectory.
 
-    t: float
-    total: float
-    fresh: float
-    redial: float
-    reconnect: float
+    Each field is an array aligned with the trajectory's grid ``t``;
+    ``total`` is the exact elementwise sum fresh + redial + reconnect.
+    """
+
+    t: np.ndarray
+    total: np.ndarray
+    fresh: np.ndarray
+    redial: np.ndarray
+    reconnect: np.ndarray
 
 
 def drift(state: FluidState, lam: float, s: float, params: ModelParams) -> np.ndarray:
@@ -83,9 +85,6 @@ def drift(state: FluidState, lam: float, s: float, params: ModelParams) -> np.nd
     drd = params.p * params.theta * excess - params.delta_rd * zrd
     drc = params.q * params.mu * in_service - params.delta_rc * zrc
     return np.array([dq, drd, drc])
-
-
-_steps_for = grid_steps
 
 
 def integrate_schedule(
@@ -119,7 +118,7 @@ def integrate_schedule(
     for t0, t1, lam, s_int in schedule.intervals():
         s = float(s_int)
         length = t1 - t0
-        nsteps = _steps_for(length, step)
+        nsteps = grid_steps(length, step)
         if nsteps % record_every != 0:
             raise ParameterError(
                 f"record_every={record_every} does not divide the "
@@ -193,103 +192,6 @@ def integrate_schedule(
     return Trajectory(grid, np.array(samples), clamp_events=clamps)
 
 
-def _lipschitz(params: ModelParams) -> float:
-    # row-sum bound of the drift Jacobian in the sup norm
-    return max(
-        max(params.mu, params.theta) + params.delta_rd + params.delta_rc,
-        params.p * params.theta + params.delta_rd,
-        params.q * params.mu + params.delta_rc,
-    )
-
-
-def picard_iterate(
-    params: ModelParams,
-    z0: FluidState,
-    horizon: float,
-    grid_step: float = 0.1,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    window: float | None = None,
-) -> Trajectory:
-    """Solve the single-interval integral equations by fixed-point iteration.
-
-    Starting from the constant path z(t) = z0, repeatedly applies the
-    integral operator (cumulative trapezoid quadrature of the drift along
-    the current path) until the sup-norm change over the grid drops below
-    ``tol``.
-
-    The iteration runs on consecutive windows, each started from the
-    previous window's terminal state, because the operator's transient
-    amplification grows like e^(L*span) for Lipschitz constant L: beyond
-    L*span of roughly 35, round-off noise is amplified past any signal in
-    double precision and the global iteration cycles instead of
-    converging. The default window keeps L*window near 12; ``max_iter``
-    caps iterations per window. Iterates are also projected into the box
-    0 <= z_i(t) <= mass(window start) + lam*t, which contains the true
-    solution (total mass never grows faster than fresh arrivals), leaves
-    the fixed point unchanged, and keeps the transient bounded.
-    """
-    validate(params)
-    if tol <= 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-    if horizon < 0:
-        raise ParameterError(f"horizon must be >= 0, got {horizon}")
-    if horizon == 0:
-        return Trajectory(np.array([0.0]), z0.as_array()[None, :])
-
-    n = _steps_for(horizon, grid_step)
-    grid = schedule_grid(single_interval(params, horizon), grid_step)
-    h = horizon / n
-    lam, s = params.lam, float(params.s)
-
-    if window is None:
-        window = 12.0 / max(_lipschitz(params), 1e-12)
-    if window <= 0:
-        raise ParameterError(f"window must be > 0, got {window}")
-    win_steps = min(n, max(1, round(window / h)))
-
-    out = np.empty((n + 1, 3))
-    out[0] = z0.as_array()
-    done = 0  # grid index up to which `out` is solved
-    while done < n:
-        m = min(win_steps, n - done)
-        start = out[done]
-        mass_cap = (start.sum() + lam * (grid[done:done + m + 1] - grid[done]))[:, None]
-        z = np.tile(start, (m + 1, 1))
-        converged = False
-        residual = np.inf
-        for _ in range(max_iter):
-            zq, zrd, zrc = z[:, 0], z[:, 1], z[:, 2]
-            in_service = np.minimum(zq, s)
-            excess = np.maximum(zq - s, 0.0)
-            f = np.empty_like(z)
-            f[:, 0] = (lam + params.delta_rd * zrd + params.delta_rc * zrc
-                       - params.mu * in_service - params.theta * excess)
-            f[:, 1] = params.p * params.theta * excess - params.delta_rd * zrd
-            f[:, 2] = params.q * params.mu * in_service - params.delta_rc * zrc
-            z_new = np.empty_like(z)
-            z_new[0] = start
-            np.cumsum(0.5 * h * (f[:-1] + f[1:]), axis=0, out=z_new[1:])
-            z_new[1:] += start
-            np.maximum(z_new, 0.0, out=z_new)
-            np.minimum(z_new, mass_cap, out=z_new)
-            residual = np.abs(z_new - z).max()
-            z = z_new
-            if residual < tol:
-                converged = True
-                break
-        if not converged:
-            raise PicardConvergenceError(
-                f"window [{grid[done]:g}, {grid[done + m]:g}] did not converge "
-                f"after {max_iter} iterations; last residual {residual:.3e}"
-            )
-        out[done + 1:done + m + 1] = z[1:]
-        done += m
-    return Trajectory(grid, out)
-
-
 def stationary_state(params: ModelParams) -> StationaryState:
     """Closed-form long-run fluid state.
 
@@ -322,31 +224,26 @@ def stationary_state(params: ModelParams) -> StationaryState:
     return StationaryState(FluidState(zq, zrd, zrc), regime, r)
 
 
-def total_arrival_rate(traj: Trajectory, schedule: Schedule) -> list[RateDecomposition]:
+def total_arrival_rate(traj: Trajectory, schedule: Schedule) -> RateDecomposition:
     """Split the offered arrival rate at each grid point by origin.
 
     The fresh component is the schedule's piecewise-constant rate
-    (right-continuous at boundaries); redial and reconnect components are
-    proportional to the orbit contents.
+    (right-continuous: a boundary time belongs to the interval it opens,
+    the horizon to the last interval); redial and reconnect components
+    are proportional to the orbit contents.
     """
-    if abs(traj.grid[0]) > 1e-9 or traj.grid[-1] > schedule.horizon + 1e-9:
+    t = traj.grid
+    if not (0.0 <= t[0] <= 1e-9 and t[-1] <= schedule.horizon):
         raise ParameterError(
-            f"trajectory span [{traj.grid[0]}, {traj.grid[-1]}] does not "
+            f"trajectory span [{t[0]}, {t[-1]}] does not "
             f"lie in the schedule span [0, {schedule.horizon}]"
         )
-    out = []
-    for t, (zq, zrd, zrc) in zip(traj.grid, traj.values):
-        fresh = schedule.lambdas[schedule.interval_index(t)]
-        redial = schedule.delta_rd * zrd
-        reconnect = schedule.delta_rc * zrc
-        out.append(RateDecomposition(
-            t=float(t),
-            total=float(fresh + redial + reconnect),
-            fresh=float(fresh),
-            redial=float(redial),
-            reconnect=float(reconnect),
-        ))
-    return out
+    index = np.searchsorted(schedule.boundaries, t, side="right") - 1
+    fresh = np.asarray(schedule.lambdas)[np.minimum(index, schedule.m - 1)]
+    redial = schedule.delta_rd * traj.z_rd
+    reconnect = schedule.delta_rc * traj.z_rc
+    return RateDecomposition(t=t, total=fresh + redial + reconnect, fresh=fresh,
+                             redial=redial, reconnect=reconnect)
 
 
 def integrate_params(
@@ -366,10 +263,6 @@ TRAJECTORY_CSV_HEADER = "t,z_q,z_rd,z_rc,lambda_total,lambda_fresh,lambda_rd,lam
 def write_trajectory_csv(path: str | Path, traj: Trajectory, schedule: Schedule) -> None:
     """Write a trajectory with its rate decomposition, full double precision."""
     rates = total_arrival_rate(traj, schedule)
-    lines = [TRAJECTORY_CSV_HEADER]
-    for (t, (zq, zrd, zrc)), rate in zip(zip(traj.grid, traj.values), rates):
-        lines.append(
-            f"{float(t)!r},{float(zq)!r},{float(zrd)!r},{float(zrc)!r},"
-            f"{rate.total!r},{rate.fresh!r},{rate.redial!r},{rate.reconnect!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, TRAJECTORY_CSV_HEADER,
+              [traj.grid, traj.z_q, traj.z_rd, traj.z_rc,
+               rates.total, rates.fresh, rates.redial, rates.reconnect])

@@ -8,9 +8,10 @@ must be converted by the caller (30 s -> 0.5 min).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -125,6 +126,8 @@ class Schedule:
         b = self.boundaries
         if len(b) < 2:
             raise ParameterError("schedule needs at least one interval")
+        if not all(math.isfinite(x) for x in b):
+            raise ParameterError(f"boundaries must be finite, got {b}")
         if b[0] != 0.0:
             raise ParameterError(f"boundaries must start at 0, got {b[0]}")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
@@ -318,7 +321,34 @@ def load_config(path: str | Path) -> Schedule:
     return schedule_from_dict(raw)
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float; strings, bools and other types are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{where} is too large for a float") from None
+
+
+def _integer(value, where: str) -> int:
+    """A JSON number with an integral value as an int (148.0 is 148)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParameterError(f"{where} must be an integer, got {value!r}")
+
+
 def schedule_from_dict(raw: dict) -> Schedule:
+    """Build a schedule from parsed config JSON; see :func:`load_config`.
+
+    Every malformed value raises :class:`ParameterError`: a non-object
+    config or interval, a string or bool where a number belongs, a
+    non-integral ``s``, a non-finite boundary.
+    """
+    if not isinstance(raw, dict):
+        raise ParameterError("config must be a JSON object")
     missing = [k for k in ("mu", "theta", "p", "q", "delta_rd", "delta_rc", "intervals")
                if k not in raw]
     if missing:
@@ -330,27 +360,27 @@ def schedule_from_dict(raw: dict) -> Schedule:
     lambdas = []
     agents = []
     for n, iv in enumerate(intervals):
+        if not isinstance(iv, dict):
+            raise ParameterError(f"interval {n} must be an object, got {iv!r}")
         for key in ("t_start", "t_end", "lambda", "s"):
             if key not in iv:
                 raise ParameterError(f"interval {n} missing key '{key}'")
-        if not np.isclose(iv["t_start"], boundaries[-1], rtol=0, atol=1e-9):
+        t_start = _number(iv["t_start"], f"interval {n} 't_start'")
+        if not np.isclose(t_start, boundaries[-1], rtol=0, atol=1e-9):
             raise ParameterError(
-                f"interval {n} starts at {iv['t_start']}, expected {boundaries[-1]} "
+                f"interval {n} starts at {t_start}, expected {boundaries[-1]} "
                 "(intervals must be contiguous from 0)"
             )
-        boundaries.append(float(iv["t_end"]))
-        lambdas.append(float(iv["lambda"]))
-        agents.append(int(iv["s"]))
+        boundaries.append(_number(iv["t_end"], f"interval {n} 't_end'"))
+        lambdas.append(_number(iv["lambda"], f"interval {n} 'lambda'"))
+        agents.append(_integer(iv["s"], f"interval {n} 's'"))
+    shared = {key: _number(raw[key], f"config '{key}'")
+              for key in ("mu", "theta", "p", "q", "delta_rd", "delta_rc")}
     return Schedule(
         boundaries=tuple(boundaries),
         lambdas=tuple(lambdas),
         agents=tuple(agents),
-        mu=float(raw["mu"]),
-        theta=float(raw["theta"]),
-        p=float(raw["p"]),
-        q=float(raw["q"]),
-        delta_rd=float(raw["delta_rd"]),
-        delta_rc=float(raw["delta_rc"]),
+        **shared,
     )
 
 

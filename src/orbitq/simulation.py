@@ -17,7 +17,6 @@ exact event sequence.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from array import array
 from collections import deque
@@ -27,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ParameterError, Schedule, schedule_grid
-from .fluid import TRAJECTORY_CSV_HEADER
+from .artifacts import write_csv, write_json
+from .model import ParameterError, Schedule, Trajectory, schedule_grid
+from .fluid import TRAJECTORY_CSV_HEADER, total_arrival_rate
 
 RNG_NAME = "philox4x64"
 SEED_DERIVATION = "key = base_seed * 2**64 + rep_index"
@@ -59,6 +59,9 @@ class Outcome(enum.Enum):
 
 
 _CLASS_BY_CODE = (CallClass.FRESH, CallClass.REDIAL, CallClass.RECONNECT)
+# indexed by status code; attempts still waiting or in service are censored
+_OUTCOME_BY_STATUS = (Outcome.CENSORED, Outcome.CENSORED, Outcome.SERVED,
+                      Outcome.ABANDONED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -554,49 +557,32 @@ SUMMARY_CSV_HEADER = ("t,mean_z_q,mean_z_rd,mean_z_rc,"
 
 def write_summary_csv(path: str | Path, summary: ReplicationSummary) -> None:
     """Per-grid-point cross-replication statistics."""
-    lines = [SUMMARY_CSV_HEADER]
-    for g in range(len(summary.grid)):
-        m = summary.mean[g]
-        sd = summary.std[g]
-        lines.append(f"{float(summary.grid[g])!r},"
-                     f"{float(m[0])!r},{float(m[1])!r},{float(m[2])!r},"
-                     f"{float(sd[0])!r},{float(sd[1])!r},{float(sd[2])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, SUMMARY_CSV_HEADER,
+              [summary.grid, *summary.mean.T, *summary.std.T])
 
 
 def write_path_csv(path: str | Path, out: SimOutput, schedule: Schedule) -> None:
-    """Trajectory-schema CSV plus cumulative counter columns."""
-    lines = [PATH_CSV_HEADER]
-    for g in range(len(out.grid)):
-        t = float(out.grid[g])
-        zrd = int(out.z_rd[g])
-        zrc = int(out.z_rc[g])
-        fresh = schedule.lambdas[schedule.interval_index(t)]
-        l_rd = schedule.delta_rd * zrd
-        l_rc = schedule.delta_rc * zrc
-        lines.append(
-            f"{t!r},{int(out.z_q[g])},{zrd},{zrc},"
-            f"{fresh + l_rd + l_rc!r},{fresh!r},{l_rd!r},{l_rc!r},"
-            f"{int(out.d_s[g])},{int(out.d_a[g])},{int(out.d_rd[g])},{int(out.d_rc[g])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Trajectory-schema CSV plus cumulative counter columns.
+
+    The rate columns are :func:`orbitq.fluid.total_arrival_rate` of the
+    simulated path, so they follow the fluid writer's rules exactly.
+    """
+    rates = total_arrival_rate(Trajectory(out.grid, out.values), schedule)
+    write_csv(path, PATH_CSV_HEADER,
+              [out.grid, out.z_q, out.z_rd, out.z_rc,
+               rates.total, rates.fresh, rates.redial, rates.reconnect,
+               out.d_s, out.d_a, out.d_rd, out.d_rc])
 
 
 def write_records_csv(path: str | Path, out: SimOutput) -> None:
-    lines = [RECORDS_CSV_HEADER]
-    for i in range(out.n_attempts):
-        st = out.rec_status[i]
-        if st == _SERVED:
-            outcome, wait = "served", repr(float(out.rec_wait[i]))
-        elif st == _ABANDONED:
-            outcome, wait = "abandoned", repr(float(out.rec_wait[i]))
-        else:
-            outcome, wait = "censored", ""
-        lines.append(
-            f"{float(out.rec_arrival[i])!r},"
-            f"{_CLASS_BY_CODE[out.rec_class[i]].value},{outcome},{wait}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One row per attempt; the wait cell is empty for censored attempts."""
+    # object arrays index by reference, so no string is copied per attempt
+    classes = np.array([c.value for c in _CLASS_BY_CODE], dtype=object)[out.rec_class]
+    outcome = np.array([o.value for o in _OUTCOME_BY_STATUS],
+                       dtype=object)[out.rec_status]
+    wait = np.where(outcome == Outcome.CENSORED.value, "",
+                    out.rec_wait.astype(object))
+    write_csv(path, RECORDS_CSV_HEADER, [out.rec_arrival, classes, outcome, wait])
 
 
 def write_metadata_json(path: str | Path, seed: int, r: int,
@@ -610,4 +596,4 @@ def write_metadata_json(path: str | Path, seed: int, r: int,
     }
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload)

@@ -14,7 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelParams, ParameterError, Schedule, Trajectory, single_interval
+from .artifacts import write_csv
+from .model import (
+    ModelParams,
+    ParameterError,
+    Schedule,
+    Trajectory,
+    grid_steps,
+    single_interval,
+)
 from .fluid import integrate_schedule, total_arrival_rate
 from .erlang import psa_performance
 from .simulation import run_replications
@@ -140,7 +148,7 @@ def refine_schedule(schedule: Schedule, block: float) -> Schedule:
 def _error_row(schedule: Schedule, rho_hat: float, s: int | None, r: int,
                base_seed: int, step: float, grid_step: float) -> ErrorRow:
     fluid = integrate_schedule(schedule, step=step,
-                               record_every=round(grid_step / step))
+                               record_every=grid_steps(grid_step, step))
     summary = run_replications(schedule, r=r, base_seed=base_seed,
                                grid_step=grid_step)
     metrics = error_metrics(Trajectory(summary.grid, summary.mean), fluid)
@@ -207,7 +215,7 @@ def run_sl_ap_table(
     for rho, schedule in schedule_family:
         refined = refine_schedule(schedule, analytic_block)
         fluid = integrate_schedule(refined, step=step,
-                                   record_every=round(grid_step / step))
+                                   record_every=grid_steps(grid_step, step))
         perf = psa_performance(refined, total_arrival_rate(fluid, refined), tau)
         summary = run_replications(schedule, r=r, base_seed=base_seed,
                                    grid_step=grid_step, tau=tau)
@@ -232,20 +240,19 @@ ERROR_CSV_HEADER = "rho_hat,s,e_rd,e_rc"
 SL_AP_CSV_HEADER = "rho_hat,sl_sim,sl_a,ap_sim,ap_a"
 
 
+def _columns(rows, header: str) -> list[list]:
+    # one column per header field; s is None (an empty cell) where
+    # staffing varies across intervals
+    return [["" if (v := getattr(r, name)) is None else v for r in rows]
+            for name in header.split(",")]
+
+
 def write_error_table_csv(path: str | Path, rows: list[ErrorRow]) -> None:
-    lines = [ERROR_CSV_HEADER]
-    for row in rows:
-        s = "" if row.s is None else str(row.s)
-        lines.append(f"{row.rho_hat!r},{s},{row.e_rd!r},{row.e_rc!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ERROR_CSV_HEADER, _columns(rows, ERROR_CSV_HEADER))
 
 
 def write_sl_ap_table_csv(path: str | Path, rows: list[SlApRow]) -> None:
-    lines = [SL_AP_CSV_HEADER]
-    for row in rows:
-        lines.append(f"{row.rho_hat!r},{row.sl_sim!r},{row.sl_a!r},"
-                     f"{row.ap_sim!r},{row.ap_a!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, SL_AP_CSV_HEADER, _columns(rows, SL_AP_CSV_HEADER))
 
 
 def format_markdown(rows) -> str:

@@ -192,6 +192,47 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("interval,intervals", [
+        ({"t_end": float("inf")}, None),
+        ({"t_end": float("nan")}, None),
+        ({"lambda": "40"}, None),
+        ({"s": 148.9}, None),
+        (None, [5]),
+    ], ids=["t_end-infinity", "t_end-nan", "lambda-string", "s-fractional",
+            "interval-not-object"])
+    def test_malformed_config_one_error_line(self, tmp_path, capsys,
+                                             interval, intervals):
+        cfg = json.loads(json.dumps(CONFIG))
+        if interval is not None:
+            cfg["intervals"][0].update(interval)
+        if intervals is not None:
+            cfg["intervals"] = intervals
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["fluid", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--step", "0.1", "--grid", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    def test_unbounded_erlang_truncation_rejected(self, tmp_path, capsys):
+        cfg = dict(CONFIG, theta=1e-9)
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["erlang", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--step", "0.1", "--grid", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "exceeds the limit" in err[0]
+
+    def test_grid_not_a_multiple_of_step(self, small_config_path, tmp_path, capsys):
+        code = main(["validate", "--config", small_config_path, "--out",
+                     str(tmp_path / "v"), "--table", "slap", "--rho-grid", "1.2",
+                     "--reps", "1", "--step", "0.1", "--grid", "0.15"])
+        assert code == 1
+        assert "does not divide" in capsys.readouterr().err
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -8,6 +8,7 @@ import pytest
 from orbitq.model import ModelParams, ParameterError, single_interval
 from orbitq.fluid import integrate_schedule, total_arrival_rate
 from orbitq.erlang import (
+    MAX_LEVELS,
     ErlangAInput,
     TruncationError,
     abandonment_prob,
@@ -53,6 +54,27 @@ class TestSteadyState:
         inp = ErlangAInput(arrival_rate=50.0, s=100, mu=0.25, theta=0.5)
         pi = steady_state(inp)
         assert pi[-1] <= 1e-10
+
+    def test_truncation_level_bounded_before_allocation(self):
+        # default n_max = 148 + 40 / 1e-9: about 300 GiB of levels
+        inp = ErlangAInput(arrival_rate=40.0, s=148, mu=0.25, theta=1e-9)
+        with pytest.raises(ParameterError, match="exceeds the limit"):
+            steady_state(inp)
+
+    def test_explicit_n_max_bounded(self):
+        inp = ErlangAInput(arrival_rate=0.0, s=2, mu=1.0, theta=1.0,
+                           n_max=MAX_LEVELS + 1)
+        with pytest.raises(ParameterError, match="exceeds the limit"):
+            steady_state(inp)
+
+    def test_doubling_bounded(self, monkeypatch):
+        # mean excess (100 - 1) / 0.01 sits two standard deviations below
+        # the default level, so one doubling is needed
+        inp = ErlangAInput(arrival_rate=100.0, s=1, mu=1.0, theta=0.01)
+        assert len(steady_state(inp)) > inp.default_n_max() + 1
+        monkeypatch.setattr("orbitq.erlang.MAX_LEVELS", inp.default_n_max())
+        with pytest.raises(ParameterError, match="exceeds the limit"):
+            steady_state(inp)
 
     @pytest.mark.parametrize("kwargs", [
         dict(arrival_rate=-1.0, s=2, mu=1.0, theta=1.0),
@@ -135,8 +157,7 @@ class TestPipeline:
         traj = integrate_schedule(sch, step=0.01, record_every=10)
         rates = total_arrival_rate(traj, sch)
         perf = psa_performance(sch, rates, tau=0.5)
-        totals = np.array([r.total for r in rates])
-        expected = np.trapezoid(totals, traj.grid) / 60.0
+        expected = np.trapezoid(rates.total, traj.grid) / 60.0
         assert perf.intervals[0].lambda_mean == pytest.approx(expected, rel=1e-12)
 
     def test_span_mismatch_rejected(self):

@@ -1,8 +1,9 @@
-"""Fluid ODE integration, closed-form stationary states, and Picard iteration."""
+"""Fluid ODE integration, closed-form stationary states, and arrival rates."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from orbitq.model import (
     EMPTY_STATE,
@@ -14,12 +15,10 @@ from orbitq.model import (
     single_interval,
 )
 from orbitq.fluid import (
-    PicardConvergenceError,
     Regime,
     drift,
     integrate_params,
     integrate_schedule,
-    picard_iterate,
     stationary_state,
     total_arrival_rate,
     write_trajectory_csv,
@@ -143,53 +142,74 @@ class TestIntegration:
         assert traj.state_at(0) == z0
 
 
-class TestPicard:
-    def test_matches_rk4_on_fixture(self):
-        rk = integrate_params(FIXTURE, horizon=60.0, step=0.01, record_every=10)
-        pc = picard_iterate(FIXTURE, EMPTY_STATE, horizon=60.0, grid_step=0.1)
-        assert np.array_equal(rk.grid, pc.grid)
-        assert np.abs(rk.values - pc.values).max() < 5e-3
+def reference_solution(schedule, z0, grid):
+    """Adaptive DOP853 on the same drift, restarted at each interval boundary."""
+    out = np.empty((len(grid), 3))
+    z = z0.as_array()
+    out[0] = z
+    for i, (t0, t1, lam, s) in enumerate(schedule.intervals()):
+        params = schedule.params_for(i)
+        nodes = np.flatnonzero((grid > t0) & (grid <= t1))
+        sol = solve_ivp(
+            lambda _t, y: drift(FluidState(*np.maximum(y, 0.0)), lam, s, params),
+            (t0, t1), z, method="DOP853", t_eval=grid[nodes],
+            rtol=1e-11, atol=1e-11)
+        assert sol.success, sol.message
+        out[nodes] = sol.y.T
+        z = sol.y[:, -1]
+    return out
 
-    def test_matches_rk4_overloaded_long(self):
-        rk = integrate_params(OVERLOADED, horizon=480.0, step=0.01,
-                              record_every=10)
-        pc = picard_iterate(OVERLOADED, EMPTY_STATE, horizon=480.0,
-                            grid_step=0.1)
-        assert np.abs(rk.values - pc.values).max() < 1e-2
-        terminal_rel = (np.abs(rk.values[-1] - pc.values[-1])
-                        / np.maximum(rk.values[-1], 1.0))
-        assert terminal_rel.max() < 1e-4
+
+def assert_matches_reference(schedule, z0=EMPTY_STATE):
+    """RK4 within 1e-5 of each column's largest value of the reference."""
+    rk = integrate_schedule(schedule, z0=z0, step=0.01, record_every=10)
+    ref = reference_solution(schedule, z0, rk.grid)
+    scale = np.abs(ref).max(axis=0)
+    assert (np.abs(rk.values - ref).max(axis=0) <= 1e-5 * scale).all()
+
+
+class TestReference:
+    def test_rk4_matches_solve_ivp_on_fixture(self):
+        assert_matches_reference(single_interval(FIXTURE, 480.0))
+
+    def test_rk4_matches_solve_ivp_overloaded_long(self):
+        assert_matches_reference(single_interval(OVERLOADED, 480.0))
+
+    def test_rk4_matches_solve_ivp_across_boundaries(self):
+        sch = Schedule(boundaries=(0.0, 30.0, 60.0, 90.0),
+                       lambdas=(20.0, 45.0, 25.0), agents=(148, 140, 160),
+                       mu=0.25, theta=0.5, p=0.5, q=0.1,
+                       delta_rd=0.05, delta_rc=0.01)
+        assert_matches_reference(sch, FluidState(100.0, 5.0, 50.0))
 
     def test_zero_arrivals_from_empty_state_is_exact(self):
         params = FIXTURE.with_interval(0.0, 2)
-        traj = picard_iterate(params, EMPTY_STATE, horizon=5.0,
-                              grid_step=0.1, max_iter=2)
+        traj = integrate_params(params, horizon=5.0, step=0.01, record_every=10)
         assert np.all(traj.values == 0.0)
 
     def test_zero_arrivals_drains(self):
         params = FIXTURE.with_interval(0.0, 2)
-        traj = picard_iterate(params, FluidState(3.0, 1.0, 1.0), horizon=5.0,
-                              grid_step=0.1)
+        traj = integrate_params(params, horizon=5.0, z0=FluidState(3.0, 1.0, 1.0),
+                                step=0.01, record_every=10)
         assert traj.values[-1].max() < 3.0 * np.exp(-0.5 * 5.0) * 5
         assert np.all(np.diff(traj.z_q) <= 1e-12)
 
-    def test_zero_horizon(self):
-        traj = picard_iterate(FIXTURE, FluidState(1.0, 0.0, 0.0), horizon=0.0)
-        assert len(traj) == 1
-        assert traj.state_at(0) == FluidState(1.0, 0.0, 0.0)
-
-    def test_iteration_budget_enforced(self):
-        with pytest.raises(PicardConvergenceError):
-            picard_iterate(OVERLOADED, EMPTY_STATE, horizon=480.0,
-                           grid_step=0.1, max_iter=1)
-
 
 class TestRates:
+    def test_fields_are_arrays_on_the_grid(self):
+        sch = single_interval(OVERLOADED, 60.0)
+        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        rates = total_arrival_rate(traj, sch)
+        assert np.array_equal(rates.t, traj.grid)
+        for field in (rates.total, rates.fresh, rates.redial, rates.reconnect):
+            assert field.shape == traj.grid.shape
+
     def test_decomposition_sums_exactly(self):
         sch = single_interval(OVERLOADED, 60.0)
         traj = integrate_schedule(sch, step=0.01, record_every=10)
-        for rate in total_arrival_rate(traj, sch):
-            assert rate.total == rate.fresh + rate.redial + rate.reconnect
+        rates = total_arrival_rate(traj, sch)
+        assert np.array_equal(rates.total,
+                              rates.fresh + rates.redial + rates.reconnect)
 
     def test_fresh_component_right_continuous(self):
         sch = Schedule(boundaries=(0.0, 5.0, 10.0), lambdas=(2.0, 7.0),
@@ -197,18 +217,34 @@ class TestRates:
                        delta_rd=0.5, delta_rc=0.5)
         traj = integrate_schedule(sch, step=0.01, record_every=10)
         rates = total_arrival_rate(traj, sch)
-        at_boundary = next(r for r in rates if r.t == 5.0)
-        assert at_boundary.fresh == 7.0
+        at_boundary = np.flatnonzero(rates.t == 5.0)
+        assert len(at_boundary) == 1
+        assert rates.fresh[at_boundary[0]] == 7.0
+        assert rates.fresh[at_boundary[0] - 1] == 2.0
+        assert rates.fresh[0] == 2.0
+        assert rates.fresh[-1] == 7.0  # the horizon belongs to the last interval
+
+    def test_fresh_component_matches_interval_index(self):
+        sch = Schedule(boundaries=(0.0, 0.3, 1.0, 2.5), lambdas=(2.0, 7.0, 4.0),
+                       agents=(2, 3, 2), mu=1.0, theta=1.0, p=0.3, q=0.2,
+                       delta_rd=0.5, delta_rc=0.5)
+        traj = integrate_schedule(sch, step=0.01, record_every=1)
+        rates = total_arrival_rate(traj, sch)
+        expected = [sch.lambdas[sch.interval_index(t)] for t in traj.grid]
+        assert rates.fresh.tolist() == expected
 
     def test_orbit_components_proportional(self):
         sch = single_interval(FIXTURE, 30.0)
         traj = integrate_schedule(sch, step=0.01, record_every=10)
         rates = total_arrival_rate(traj, sch)
-        idx = len(rates) // 2
-        assert rates[idx].redial == pytest.approx(
-            FIXTURE.delta_rd * traj.values[idx, 1])
-        assert rates[idx].reconnect == pytest.approx(
-            FIXTURE.delta_rc * traj.values[idx, 2])
+        assert np.array_equal(rates.redial, FIXTURE.delta_rd * traj.z_rd)
+        assert np.array_equal(rates.reconnect, FIXTURE.delta_rc * traj.z_rc)
+
+    def test_span_outside_schedule_rejected(self):
+        sch = single_interval(FIXTURE, 30.0)
+        traj = integrate_params(FIXTURE, horizon=60.0, step=0.01, record_every=10)
+        with pytest.raises(ParameterError):
+            total_arrival_rate(traj, sch)
 
 
 class TestCsv:

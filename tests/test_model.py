@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitq.model import (
     EMPTY_STATE,
@@ -22,6 +23,34 @@ from orbitq.model import (
     single_interval,
     validate,
 )
+
+
+VALID_CONFIG = {
+    "mu": 0.25, "theta": 0.5, "p": 0.5, "q": 0.1,
+    "delta_rd": 0.05, "delta_rc": 0.01,
+    "intervals": [{"t_start": 0, "t_end": 60, "lambda": 40, "s": 148},
+                  {"t_start": 60, "t_end": 120, "lambda": 30, "s": 120}],
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=10,
+)
+
+
+def with_field(field, value):
+    """VALID_CONFIG with one top-level or interval field replaced."""
+    raw = json.loads(json.dumps(VALID_CONFIG))
+    if isinstance(field, tuple):
+        n, key = field
+        if key is None:
+            raw["intervals"][n] = value
+        else:
+            raw["intervals"][n][key] = value
+    else:
+        raw[field] = value
+    return raw
 
 
 def small_params(**over):
@@ -154,6 +183,60 @@ class TestConfig:
     def test_missing_keys(self):
         with pytest.raises(ParameterError, match="missing"):
             schedule_from_dict({"mu": 1.0})
+
+    def test_valid_config_loads(self):
+        sch = schedule_from_dict(VALID_CONFIG)
+        assert sch.boundaries == (0.0, 60.0, 120.0)
+        assert sch.agents == (148, 120)
+
+    def test_integral_float_staffing_accepted(self):
+        sch = schedule_from_dict(with_field((0, "s"), 148.0))
+        assert sch.agents[0] == 148 and isinstance(sch.agents[0], int)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ((0, "s"), 148.9, "integer"),
+        ((0, "s"), "148", "integer"),
+        ((0, "s"), True, "integer"),
+        ((0, "lambda"), "40", "number"),
+        ((0, "lambda"), False, "number"),
+        ((1, "t_end"), float("inf"), "finite"),
+        ((1, "t_end"), float("nan"), "finite"),
+        ((1, "t_start"), None, "number"),
+        ((1, "t_end"), 10 ** 400, "too large"),
+        ((0, None), 5, "object"),
+        ("mu", "0.25", "number"),
+        ("theta", [0.5], "number"),
+    ], ids=["s-fractional", "s-string", "s-bool", "lambda-string", "lambda-bool",
+            "t_end-infinity", "t_end-nan", "t_start-null", "t_end-huge-int",
+            "interval-not-object", "mu-string", "theta-list"])
+    def test_malformed_values_rejected(self, field, value, match):
+        with pytest.raises(ParameterError, match=match):
+            schedule_from_dict(with_field(field, value))
+
+    def test_top_level_must_be_object(self):
+        with pytest.raises(ParameterError, match="object"):
+            schedule_from_dict([VALID_CONFIG])
+
+    def test_non_finite_boundary_rejected(self):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="finite"):
+                Schedule(boundaries=(0.0, bad), lambdas=(1.0,), agents=(1,),
+                         mu=1.0, theta=1.0, p=0.3, q=0.2,
+                         delta_rd=0.5, delta_rc=0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        field=st.sampled_from(
+            ["mu", "theta", "p", "q", "delta_rd", "delta_rc", "intervals"]
+            + [(n, key) for n in (0, 1)
+               for key in (None, "t_start", "t_end", "lambda", "s")]),
+        value=JSON_VALUES,
+    )
+    def test_any_json_value_loads_or_raises_parameter_error(self, field, value):
+        try:
+            schedule_from_dict(with_field(field, value))
+        except ParameterError:
+            pass
 
     def test_gap_between_intervals_rejected(self):
         raw = schedule_to_dict(single_interval(small_params(), 10.0))

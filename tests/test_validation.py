@@ -149,6 +149,17 @@ class TestTables:
         by_rho = {r.rho_hat: r for r in rows}
         assert by_rho[1.2].e_rd < by_rho[1.05].e_rd / 5.0
 
+    def test_grid_not_a_multiple_of_step_rejected(self):
+        # 0.15 / 0.1 used to round silently to a 0.2-minute grid
+        with pytest.raises(ParameterError, match="does not divide"):
+            run_sl_ap_table(single_interval_family(BASE, (1.2,)), r=1,
+                            step=0.1, grid_step=0.15)
+
+    def test_error_table_grid_not_a_multiple_of_step_rejected(self):
+        with pytest.raises(ParameterError, match="does not divide"):
+            run_single_interval_table(BASE, rho_grid=(1.2,), r=1,
+                                      step=0.1, grid_step=0.15)
+
     def test_sl_ap_rows_in_unit_interval(self):
         rows = run_sl_ap_table(single_interval_family(BASE, (1.2,)), r=10)
         row = rows[0]
