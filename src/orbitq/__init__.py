@@ -22,16 +22,12 @@ from .fluid import (
     StationaryState,
     RateDecomposition,
     drift,
-    integrate_params,
     integrate_schedule,
     stationary_state,
     total_arrival_rate,
 )
 from .ctmc import TruncatedChain, StationarySolution, build_chain, solve_stationary
 from .simulation import (
-    CallClass,
-    CustomerRecord,
-    Outcome,
     ReplicationSummary,
     SimOutput,
     SimulationError,
@@ -81,7 +77,6 @@ __all__ = [
     "StationaryState",
     "RateDecomposition",
     "drift",
-    "integrate_params",
     "integrate_schedule",
     "stationary_state",
     "total_arrival_rate",
@@ -89,9 +84,6 @@ __all__ = [
     "StationarySolution",
     "build_chain",
     "solve_stationary",
-    "CallClass",
-    "CustomerRecord",
-    "Outcome",
     "ReplicationSummary",
     "SimOutput",
     "SimulationError",

@@ -9,6 +9,7 @@ Failures print one line to stderr and exit nonzero. Given identical flags
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -107,17 +108,14 @@ def cmd_fluid(args) -> int:
 def cmd_simulate(args) -> int:
     schedule = load_config(args.config)
     out = _out_dir(args)
-    result = run_replications(schedule, r=args.reps, base_seed=args.seed,
-                              grid_step=args.grid, tau=args.tau,
-                              keep_outputs=args.reps == 1)
+    summary = run_replications(schedule, r=args.reps, base_seed=args.seed,
+                               grid_step=args.grid, tau=args.tau)
     if args.reps == 1:
-        summary, outputs = result
+        path = summary.first_path
         _done(_atomic(out / "path.csv",
-                      lambda p: write_path_csv(p, outputs[0], schedule)))
+                      lambda p: write_path_csv(p, path, schedule)))
         _done(_atomic(out / "records.csv",
-                      lambda p: write_records_csv(p, outputs[0])))
-    else:
-        summary = result
+                      lambda p: write_records_csv(p, path)))
     _done(_atomic(out / "summary.csv",
                   lambda p: write_summary_csv(p, summary)))
     extra = {
@@ -137,6 +135,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_erlang(args) -> int:
     schedule = load_config(args.config)
+    if math.isnan(args.block):
+        raise ParameterError("--block must be a number, got nan")
     if args.block > 0:
         schedule = refine_schedule(schedule, args.block)
     out = _out_dir(args)
@@ -164,7 +164,7 @@ def cmd_oracle(args) -> int:
         raise ParameterError(f"--caps must be three integers, got {args.caps!r}")
     out = _out_dir(args)
     chain = build_chain(schedule.params_for(0), caps)
-    solution = solve_stationary(chain, method=args.method)
+    solution = solve_stationary(chain)
     _done(_atomic(out / "oracle.json",
                   lambda p: write_fixture_json(p, chain, solution)))
     return 0
@@ -246,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--caps", default="60,40,40",
                    help="truncation caps N_Q,N_RD,N_RC (default 60,40,40)")
-    p.add_argument("--method", choices=("auto", "direct", "power"),
-                   default="auto", help="linear solver (default auto)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("validate", help="reproduce comparison tables")

@@ -21,20 +21,15 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .artifacts import write_json
 from .model import ModelParams, ParameterError, validate
 
 MAX_STATES = 10_000_000
 
-# above this size the direct solve's LU fill-in gets out of hand on the
-# 3-D lattice; fall back to the jump-chain iteration
-DIRECT_LIMIT = 30_000
-
 
 class CTMCError(RuntimeError):
-    """Stationary solve failed (non-convergence or singular system)."""
+    """Stationary solve failed (non-convergence or a malformed warm start)."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class StationarySolution:
     residual: float
     redirected_rate: float      # expected reflected rate, events per minute
     redirected_fraction: float  # share of total transition flow reflected
-    method: str
+    method: str                 # always "power"; recorded in oracle.json
     iterations: int
 
 
@@ -147,37 +142,18 @@ def build_chain(params: ModelParams, caps: tuple[int, int, int]) -> TruncatedCha
                           reflected=reflected)
 
 
-def _solve_direct(gen: sp.csr_matrix) -> np.ndarray:
-    # replace the first balance equation with the normalization sum(pi)=1
-    n = gen.shape[0]
-    gt = gen.T.tocoo()
-    keep = gt.row != 0
-    rows = np.concatenate([np.zeros(n, dtype=np.int64), gt.row[keep]])
-    cols = np.concatenate([np.arange(n), gt.col[keep]])
-    vals = np.concatenate([np.ones(n), gt.data[keep]])
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    b = np.zeros(n)
-    b[0] = 1.0
-    pi = spsolve(a, b)
-    if not np.all(np.isfinite(pi)):
-        raise CTMCError("direct solve returned non-finite values (singular system?)")
-    np.maximum(pi, 0.0, out=pi)
-    return pi / pi.sum()
-
-
 def _solve_power(gen: sp.csr_matrix, x0: np.ndarray | None, tol: float,
                  max_iter: int) -> tuple[np.ndarray, int]:
     # jump-chain form: pi G = 0 iff y P = y for P = I + inv(L) G with
     # L_v = 1.05 * out_rate_v and y = pi * L. Scaling by the local
     # out-rate instead of the global maximum makes each sweep advance the
     # chain by roughly one transition everywhere, and the 5% slack keeps
-    # self-loop probability positive so period-2 modes are damped.
+    # self-loop probability positive so period-2 modes are damped. Any
+    # positive L keeps the fixed point exact, so an absorbing state
+    # (out-rate 0, e.g. the empty state when lam = 0) gets L_v = 1.
     n = gen.shape[0]
     out_rate = -gen.diagonal()
-    if np.any(out_rate <= 0):
-        raise CTMCError("chain has an absorbing state; stationary solve "
-                        "requires every state to have positive out-rate")
-    lam_u = 1.05 * out_rate
+    lam_u = np.where(out_rate > 0, 1.05 * out_rate, 1.0)
     inv_lam = 1.0 / lam_u
     gt = gen.T.tocsr()
 
@@ -221,30 +197,18 @@ def _solve_power(gen: sp.csr_matrix, x0: np.ndarray | None, tol: float,
 
 def solve_stationary(
     chain: TruncatedChain,
-    method: str = "auto",
     x0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 100_000,
 ) -> StationarySolution:
-    """Solve pi G = 0, sum(pi) = 1 and report moments.
+    """Solve pi G = 0, sum(pi) = 1 by jump-chain power iteration.
 
-    ``method`` is "direct" (sparse LU on the normalized system),
-    "power" (jump-chain power iteration, optionally warm-started from
-    ``x0``), or "auto" which picks direct below ``DIRECT_LIMIT`` states.
-    The returned residual is max |pi G| and must come out <= tol.
+    ``x0`` warm-starts the iteration (e.g. a smaller box's solution
+    padded by :func:`embed_pi`). The returned residual is max |pi G| and
+    must come out <= tol.
     """
     gen = chain.generator
-    n = chain.n_states
-    if method == "auto":
-        method = "direct" if n <= DIRECT_LIMIT and x0 is None else "power"
-    if method == "direct":
-        pi = _solve_direct(gen)
-        iterations = 0
-    elif method == "power":
-        pi, iterations = _solve_power(gen, x0, tol, max_iter)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-
+    pi, iterations = _solve_power(gen, x0, tol, max_iter)
     residual = float(np.abs(gen.T @ pi).max())
     if residual > tol:
         raise CTMCError(f"solve residual {residual:.3e} exceeds tolerance {tol:.1e}")
@@ -261,7 +225,7 @@ def solve_stationary(
     return StationarySolution(
         pi=pi, e_zq=e_zq, e_zrd=e_zrd, e_zrc=e_zrc, e_lambda=e_lambda,
         residual=residual, redirected_rate=redirected_rate,
-        redirected_fraction=redirected_fraction, method=method,
+        redirected_fraction=redirected_fraction, method="power",
         iterations=iterations,
     )
 

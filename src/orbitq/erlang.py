@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .artifacts import write_csv
-from .model import ParameterError, Schedule
+from .model import ParameterError, Schedule, check_tau
 from .fluid import RateDecomposition
 
 TAIL_TOL = 1e-10
@@ -176,8 +176,7 @@ def service_level(inp: ErlangAInput, tau: float) -> float:
     An arrival finding n < s in system waits zero; one finding n >= s is
     tracked through the tagged-customer phase chain with j = n - s ahead.
     """
-    if tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
+    check_tau(tau)
     pi = steady_state(inp)
     n_states = len(pi)
     terms = np.ones(n_states)
@@ -219,7 +218,6 @@ def psa_performance(
     schedule: Schedule,
     fluid_rates: RateDecomposition,
     tau: float,
-    n_max: int | None = None,
 ) -> PerformanceSummary:
     """Pointwise-stationary Erlang-A over the schedule.
 
@@ -250,7 +248,7 @@ def psa_performance(
             )
         lam_i = lam + np.trapezoid(orbit[sel], tt) / (t1 - t0)
         inp = ErlangAInput(arrival_rate=float(lam_i), s=s, mu=schedule.mu,
-                           theta=schedule.theta, n_max=n_max)
+                           theta=schedule.theta)
         rows.append(IntervalPerformance(
             index=i, t_start=t0, t_end=t1, lambda_mean=float(lam_i), s=s,
             sl=service_level(inp, tau), ap=abandonment_prob(inp),

@@ -32,7 +32,6 @@ from .model import (
     grid_steps,
     rho_hat,
     schedule_grid,
-    single_interval,
     validate,
 )
 
@@ -102,8 +101,6 @@ def integrate_schedule(
     boundaries always included). Negative round-off is clamped to zero
     and counted in ``Trajectory.clamp_events``.
     """
-    if step <= 0:
-        raise ParameterError(f"step must be > 0, got {step}")
     if record_every < 1:
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
 
@@ -244,17 +241,6 @@ def total_arrival_rate(traj: Trajectory, schedule: Schedule) -> RateDecompositio
     reconnect = schedule.delta_rc * traj.z_rc
     return RateDecomposition(t=t, total=fresh + redial + reconnect, fresh=fresh,
                              redial=redial, reconnect=reconnect)
-
-
-def integrate_params(
-    params: ModelParams,
-    horizon: float,
-    z0: FluidState = EMPTY_STATE,
-    step: float = 0.01,
-    record_every: int = 1,
-) -> Trajectory:
-    """Single-interval convenience wrapper around :func:`integrate_schedule`."""
-    return integrate_schedule(single_interval(params, horizon), z0, step, record_every)
 
 
 TRAJECTORY_CSV_HEADER = "t,z_q,z_rd,z_rc,lambda_total,lambda_fresh,lambda_rd,lambda_rc"

@@ -191,10 +191,19 @@ class Schedule:
 
 def grid_steps(length: float, step: float) -> int:
     """Number of steps of size ``step`` spanning ``length``, which must divide it."""
+    if not (0 < step < math.inf and 0 < length < math.inf):
+        raise ParameterError(
+            f"step {step} and interval length {length} must be finite and > 0")
     n = round(length / step)
     if n < 1 or abs(n * step - length) > 1e-9 * max(1.0, length):
         raise ParameterError(f"step {step} does not divide interval length {length}")
     return n
+
+
+def check_tau(tau: float) -> None:
+    """Reject a service-level threshold that is not finite and >= 0 minutes."""
+    if not 0 <= tau < math.inf:
+        raise ParameterError(f"tau must be finite and >= 0, got {tau}")
 
 
 def schedule_grid(schedule: Schedule, grid_step: float) -> np.ndarray:
@@ -204,8 +213,6 @@ def schedule_grid(schedule: Schedule, grid_step: float) -> np.ndarray:
     and the simulator derive their output grids from this function so the
     time columns of their exports are bit-identical.
     """
-    if grid_step <= 0:
-        raise ParameterError(f"grid_step must be > 0, got {grid_step}")
     nodes = [0.0]
     for t0, t1, _, _ in schedule.intervals():
         n = grid_steps(t1 - t0, grid_step)

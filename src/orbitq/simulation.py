@@ -16,7 +16,6 @@ exact event sequence.
 
 from __future__ import annotations
 
-import enum
 import math
 from array import array
 from collections import deque
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .model import ParameterError, Schedule, Trajectory, schedule_grid
+from .model import ParameterError, Schedule, Trajectory, check_tau, schedule_grid
 from .fluid import TRAJECTORY_CSV_HEADER, total_arrival_rate
 
 RNG_NAME = "philox4x64"
@@ -46,38 +45,10 @@ class SimulationError(RuntimeError):
     """Event-budget overflow, conservation violation, or empty measurement."""
 
 
-class CallClass(enum.Enum):
-    FRESH = "fresh"
-    REDIAL = "redial"
-    RECONNECT = "reconnect"
-
-
-class Outcome(enum.Enum):
-    SERVED = "served"
-    ABANDONED = "abandoned"
-    CENSORED = "censored"
-
-
-_CLASS_BY_CODE = (CallClass.FRESH, CallClass.REDIAL, CallClass.RECONNECT)
-# indexed by status code; attempts still waiting or in service are censored
-_OUTCOME_BY_STATUS = (Outcome.CENSORED, Outcome.CENSORED, Outcome.SERVED,
-                      Outcome.ABANDONED)
-
-
-@dataclass(frozen=True, slots=True)
-class CustomerRecord:
-    """One call attempt. Redials and reconnects are separate records.
-
-    ``wait`` is defined for SERVED and ABANDONED attempts (None for
-    censored); ``service_start``/``service_end`` only for SERVED.
-    """
-
-    arrival_time: float
-    call_class: CallClass
-    outcome: Outcome
-    wait: float | None
-    service_start: float | None = None
-    service_end: float | None = None
+# records.csv labels, indexed by class code and by status code; attempts
+# still waiting or in service at the horizon are censored
+_CLASS_NAMES = ("fresh", "redial", "reconnect")
+_OUTCOME_NAMES = ("censored", "censored", "served", "abandoned")
 
 
 class SimOutput:
@@ -88,8 +59,11 @@ class SimOutput:
     cumulative event counts on [0, t]: pi_lam fresh arrivals, d_s service
     completions, d_a abandonments, d_rd redial-orbit exits, d_rc
     reconnect-orbit exits, e_rd redial-orbit entries, e_rc
-    reconnect-orbit entries. Attempt-level data is kept in compact
-    parallel arrays; ``records`` materializes them on demand.
+    reconnect-orbit entries. Attempt-level data is kept in parallel
+    ``rec_*`` arrays, one entry per attempt in arrival order: arrival
+    time, class code (0 fresh, 1 redial, 2 reconnect), status code
+    (0 waiting, 1 in service, 2 served, 3 abandoned), wait, service start
+    and service end (NaN where undefined).
     """
 
     def __init__(self, grid, z_q, z_rd, z_rc, pi_lam, d_s, d_a, d_rd, d_rc,
@@ -128,36 +102,6 @@ class SimOutput:
     def values(self) -> np.ndarray:
         """Grid samples as an (n, 3) float array, fluid-trajectory layout."""
         return np.column_stack([self.z_q, self.z_rd, self.z_rc]).astype(float)
-
-    @property
-    def records(self) -> list[CustomerRecord]:
-        out = []
-        for i in range(self.n_attempts):
-            st = self.rec_status[i]
-            if st == _SERVED:
-                out.append(CustomerRecord(
-                    arrival_time=float(self.rec_arrival[i]),
-                    call_class=_CLASS_BY_CODE[self.rec_class[i]],
-                    outcome=Outcome.SERVED,
-                    wait=float(self.rec_wait[i]),
-                    service_start=float(self.rec_sstart[i]),
-                    service_end=float(self.rec_send[i]),
-                ))
-            elif st == _ABANDONED:
-                out.append(CustomerRecord(
-                    arrival_time=float(self.rec_arrival[i]),
-                    call_class=_CLASS_BY_CODE[self.rec_class[i]],
-                    outcome=Outcome.ABANDONED,
-                    wait=float(self.rec_wait[i]),
-                ))
-            else:
-                out.append(CustomerRecord(
-                    arrival_time=float(self.rec_arrival[i]),
-                    call_class=_CLASS_BY_CODE[self.rec_class[i]],
-                    outcome=Outcome.CENSORED,
-                    wait=None,
-                ))
-        return out
 
 
 def verify_conservation(out: SimOutput) -> None:
@@ -420,43 +364,22 @@ def _sl_ap_counts(out: SimOutput, tau: float,
 
 
 def measure_sl_ap(
-    records,
+    out: SimOutput,
     tau: float,
-    include_abandoned: bool = True,
     window: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
-    """Service level and abandonment probability from attempt records.
+    """Service level and abandonment probability of one simulated path.
 
-    AP = abandoned / (served + abandoned). SL = served within ``tau`` /
-    (served + abandoned); with ``include_abandoned=False`` the SL
-    denominator is served only. Censored attempts are excluded
-    everywhere. ``window`` restricts to attempts with arrival_time in
-    [w0, w1). Every attempt counts separately, whatever its class.
+    AP = abandoned / (served + abandoned) and SL = served within ``tau``
+    / (served + abandoned). Censored attempts are excluded everywhere.
+    ``window`` restricts to attempts arriving in [w0, w1). Every attempt
+    counts separately, whatever its class.
     """
-    if tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
-    if isinstance(records, SimOutput):
-        n_s, n_a, n_sl = _sl_ap_counts(records, tau, window)
-    else:
-        n_s = n_a = n_sl = 0
-        for r in records:
-            if r.outcome is Outcome.CENSORED:
-                continue
-            if window is not None and not (window[0] <= r.arrival_time < window[1]):
-                continue
-            if r.outcome is Outcome.SERVED:
-                n_s += 1
-                if r.wait <= tau:
-                    n_sl += 1
-            else:
-                n_a += 1
+    check_tau(tau)
+    n_s, n_a, n_sl = _sl_ap_counts(out, tau, window)
     if n_s + n_a == 0:
         raise SimulationError("no served or abandoned attempts to measure")
-    ap = n_a / (n_s + n_a)
-    sl_denom = n_s + n_a if include_abandoned else n_s
-    if sl_denom == 0:
-        raise SimulationError("SL undefined: no served attempts")
-    return n_sl / sl_denom, ap
+    return n_sl / (n_s + n_a), n_a / (n_s + n_a)
 
 
 @dataclass(frozen=True)
@@ -467,6 +390,7 @@ class ReplicationSummary:
     state components, shape (n, 3), ddof=1 (zero when r == 1). SL and AP
     pool outcome counts over all replications; half-widths are 95%
     normal-approximation intervals from the per-replication spread.
+    ``first_path`` is replication 0's full output.
     """
 
     r: int
@@ -483,6 +407,7 @@ class ReplicationSummary:
     n_served: int
     n_abandoned: int
     tau: float
+    first_path: SimOutput
 
 
 def run_replications(
@@ -491,11 +416,9 @@ def run_replications(
     base_seed: int,
     grid_step: float = 0.1,
     tau: float = 0.5,
-    include_abandoned: bool = True,
     window: tuple[float, float] | None = None,
     initial: tuple[int, int, int] = (0, 0, 0),
-    keep_outputs: bool = False,
-) -> ReplicationSummary | tuple[ReplicationSummary, list[SimOutput]]:
+) -> ReplicationSummary:
     """Run ``r`` independent replications and aggregate.
 
     Replication i uses Philox key base_seed * 2**64 + i, so the set of
@@ -504,49 +427,43 @@ def run_replications(
     """
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
+    check_tau(tau)
     values = None
     sl_reps = np.empty(r)
     ap_reps = np.empty(r)
     tot_s = tot_a = tot_sl = 0
-    outputs: list[SimOutput] = []
     for i in range(r):
         out = simulate_path(schedule, base_seed * 2 ** 64 + i,
                             grid_step=grid_step, initial=initial)
         if values is None:
             values = np.empty((r, len(out.grid), 3))
-            grid = out.grid
+            first = out
         values[i] = out.values
         n_s, n_a, n_sl = _sl_ap_counts(out, tau, window)
         tot_s += n_s
         tot_a += n_a
         tot_sl += n_sl
-        denom = n_s + n_a if include_abandoned else n_s
-        sl_reps[i] = n_sl / denom if denom else math.nan
-        ap_reps[i] = n_a / (n_s + n_a) if n_s + n_a else math.nan
-        if keep_outputs:
-            outputs.append(out)
+        n = n_s + n_a
+        sl_reps[i] = n_sl / n if n else math.nan
+        ap_reps[i] = n_a / n if n else math.nan
 
     mean = values.mean(axis=0)
     std = values.std(axis=0, ddof=1) if r > 1 else np.zeros_like(mean)
     if tot_s + tot_a == 0:
         raise SimulationError("no served or abandoned attempts across replications")
     ap = tot_a / (tot_s + tot_a)
-    sl_denom = tot_s + tot_a if include_abandoned else tot_s
-    sl = tot_sl / sl_denom if sl_denom else math.nan
+    sl = tot_sl / (tot_s + tot_a)
     if r > 1:
         sl_hw = 1.96 * np.nanstd(sl_reps, ddof=1) / math.sqrt(r)
         ap_hw = 1.96 * np.nanstd(ap_reps, ddof=1) / math.sqrt(r)
     else:
         sl_hw = ap_hw = 0.0
-    summary = ReplicationSummary(
-        r=r, base_seed=base_seed, grid=grid, mean=mean, std=std, sl=sl, ap=ap,
-        sl_half_width=float(sl_hw), ap_half_width=float(ap_hw),
+    return ReplicationSummary(
+        r=r, base_seed=base_seed, grid=first.grid, mean=mean, std=std, sl=sl,
+        ap=ap, sl_half_width=float(sl_hw), ap_half_width=float(ap_hw),
         sl_reps=sl_reps, ap_reps=ap_reps, n_served=tot_s, n_abandoned=tot_a,
-        tau=tau,
+        tau=tau, first_path=first,
     )
-    if keep_outputs:
-        return summary, outputs
-    return summary
 
 
 PATH_CSV_HEADER = TRAJECTORY_CSV_HEADER + ",d_s,d_a,d_rd,d_rc"
@@ -577,11 +494,9 @@ def write_path_csv(path: str | Path, out: SimOutput, schedule: Schedule) -> None
 def write_records_csv(path: str | Path, out: SimOutput) -> None:
     """One row per attempt; the wait cell is empty for censored attempts."""
     # object arrays index by reference, so no string is copied per attempt
-    classes = np.array([c.value for c in _CLASS_BY_CODE], dtype=object)[out.rec_class]
-    outcome = np.array([o.value for o in _OUTCOME_BY_STATUS],
-                       dtype=object)[out.rec_status]
-    wait = np.where(outcome == Outcome.CENSORED.value, "",
-                    out.rec_wait.astype(object))
+    classes = np.array(_CLASS_NAMES, dtype=object)[out.rec_class]
+    outcome = np.array(_OUTCOME_NAMES, dtype=object)[out.rec_status]
+    wait = np.where(out.rec_status < _SERVED, "", out.rec_wait.astype(object))
     write_csv(path, RECORDS_CSV_HEADER, [out.rec_arrival, classes, outcome, wait])
 
 

@@ -92,8 +92,8 @@ def error_metrics(sim_mean: Trajectory, fluid: Trajectory) -> ErrorMetrics:
 
 def staffing_for(lam: float, mu: float, q: float, rho_hat: float) -> int:
     """Agents needed to hit a target effective load, rounded to nearest."""
-    if rho_hat <= 0:
-        raise ParameterError(f"rho_hat target must be > 0, got {rho_hat}")
+    if not 0 < rho_hat < math.inf:
+        raise ParameterError(f"rho_hat target must be finite and > 0, got {rho_hat}")
     return max(1, round(lam / ((1.0 - q) * mu * rho_hat)))
 
 

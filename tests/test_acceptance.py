@@ -16,7 +16,7 @@ import pytest
 from orbitq.cli import main as cli_main
 from orbitq.ctmc import build_chain, embed_pi, solve_stationary
 from orbitq.erlang import ErlangAInput, abandonment_prob, service_level, steady_state
-from orbitq.fluid import integrate_params, integrate_schedule, stationary_state
+from orbitq.fluid import integrate_schedule, stationary_state
 from orbitq.model import ModelParams, Schedule, single_interval
 from orbitq.simulation import run_replications, simulate_path, verify_conservation
 from orbitq.validation import (
@@ -48,8 +48,8 @@ def test_criterion_1_stationary_transient_consistency():
     for rho in DEFAULT_RHO_GRID:
         params = TABLE_BASE.with_interval(
             40.0, staffing_for(40.0, TABLE_BASE.mu, TABLE_BASE.q, rho))
-        traj = integrate_params(params, horizon=5000.0, step=0.01,
-                                record_every=1000)
+        traj = integrate_schedule(single_interval(params, 5000.0), step=0.01,
+                                  record_every=1000)
         target = stationary_state(params).state.as_array()
         assert target.min() > 0.0
         rel = (np.abs(traj.final_state.as_array() - target) / target).max()

@@ -233,6 +233,39 @@ class TestErrors:
         assert code == 1
         assert "does not divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,lam,code", [
+        (["fluid", "--step", "0"], 2, 1),
+        (["erlang", "--step", "0"], 2, 1),
+        (["validate", "--table", "single", "--step", "0"], 2, 1),
+        (["fluid", "--step", "nan"], 2, 1),
+        (["fluid", "--grid", "inf"], 2, 1),
+        (["simulate", "--tau", "-1"], 2, 1),
+        (["simulate", "--tau", "nan"], 2, 1),
+        (["erlang", "--tau", "inf"], 2, 1),
+        (["validate", "--table", "single", "--rho-grid", "inf"], 2, 1),
+        (["validate", "--table", "single", "--rho-grid", "nan"], 2, 1),
+        (["erlang", "--block", "nan"], 2, 1),
+        (["oracle", "--caps", "10,6,6"], 0, 0),
+    ], ids=["fluid-step-0", "erlang-step-0", "validate-step-0", "fluid-step-nan",
+            "fluid-grid-inf", "simulate-tau-negative", "simulate-tau-nan",
+            "erlang-tau-inf", "validate-rho-inf", "validate-rho-nan",
+            "erlang-block-nan", "oracle-zero-arrivals"])
+    def test_flag_values(self, tmp_path, capsys, argv, lam, code):
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["intervals"][0]["lambda"] = lam
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(path), "--out", str(out),
+                            "--reps", "2"]) == code
+        if code == 0:
+            data = json.loads((out / "oracle.json").read_text(encoding="utf-8"))
+            assert data["moments"]["e_zq"] < 1e-6
+            return
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

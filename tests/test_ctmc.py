@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from orbitq.model import ModelParams, ParameterError
 from orbitq.ctmc import (
@@ -17,6 +19,15 @@ from orbitq.ctmc import (
 
 FIXTURE = ModelParams(lam=2.0, s=2, mu=1.0, theta=1.0, p=0.3, q=0.2,
                       delta_rd=0.5, delta_rc=0.5)
+
+
+def lu_reference(chain):
+    """pi from sparse LU: pi G = 0 with the first equation replaced by sum(pi) = 1."""
+    a = chain.generator.T.tolil()
+    a[0, :] = 1.0
+    b = np.zeros(chain.n_states)
+    b[0] = 1.0
+    return spsolve(sp.csr_matrix(a), b)
 
 
 def birth_death_chain(lam, mu, s, cap):
@@ -77,17 +88,16 @@ class TestSolve:
         assert np.abs(marg - poisson).max() < 1e-9
 
     def test_direct_and_power_agree(self):
-        chain = build_chain(FIXTURE, (12, 8, 8))
-        direct = solve_stationary(chain, method="direct")
-        power = solve_stationary(chain, method="power")
-        assert np.abs(direct.pi - power.pi).max() < 1e-9
-        assert direct.method == "direct"
-        assert power.method == "power"
-        assert power.iterations > 0
+        for caps in ((12, 8, 8), (20, 12, 12)):
+            chain = build_chain(FIXTURE, caps)
+            power = solve_stationary(chain)
+            assert np.abs(lu_reference(chain) - power.pi).max() < 1e-9
+            assert power.method == "power"
+            assert power.iterations > 0
 
     def test_frozen_fixture_moments(self):
         chain = build_chain(FIXTURE, (20, 12, 12))
-        sol = solve_stationary(chain)
+        sol = solve_stationary(chain, tol=1e-12)
         assert sol.e_zq == pytest.approx(2.6201214420346157, rel=1e-9)
         assert sol.e_zrd == pytest.approx(0.5765829209964534, rel=1e-9)
         assert sol.e_zrc == pytest.approx(0.6636599622143038, rel=1e-9)
@@ -99,19 +109,10 @@ class TestSolve:
     def test_warm_start_converges_to_same_answer(self):
         small = build_chain(FIXTURE, (10, 6, 6))
         big = build_chain(FIXTURE, (12, 8, 8))
-        cold = solve_stationary(big, method="power")
+        cold = solve_stationary(big)
         x0 = embed_pi(solve_stationary(small).pi, (10, 6, 6), (12, 8, 8))
-        warm = solve_stationary(big, method="power", x0=x0)
+        warm = solve_stationary(big, x0=x0)
         assert np.abs(cold.pi - warm.pi).max() < 1e-9
-
-    def test_unknown_method(self):
-        chain = birth_death_chain(lam=1.0, mu=1.0, s=1, cap=2)
-        with pytest.raises(ParameterError, match="method"):
-            solve_stationary(chain, method="bogus")
-
-    def test_auto_prefers_direct_for_small_chains(self):
-        chain = build_chain(FIXTURE, (6, 4, 4))
-        assert solve_stationary(chain).method == "direct"
 
 
 class TestEmbedAndExport:
@@ -138,4 +139,4 @@ class TestEmbedAndExport:
         assert data["caps"] == [6, 4, 4]
         assert data["n_states"] == 7 * 5 * 5
         assert data["moments"]["e_zq"] == pytest.approx(sol.e_zq)
-        assert data["method"] == "direct"
+        assert data["method"] == "power"

@@ -17,7 +17,6 @@ from orbitq.model import (
 from orbitq.fluid import (
     Regime,
     drift,
-    integrate_params,
     integrate_schedule,
     stationary_state,
     total_arrival_rate,
@@ -97,7 +96,7 @@ class TestStationary:
 class TestIntegration:
     def test_converges_to_stationary(self):
         target = stationary_state(FIXTURE).state.as_array()
-        traj = integrate_params(FIXTURE, horizon=300.0, step=0.01)
+        traj = integrate_schedule(single_interval(FIXTURE, 300.0), step=0.01)
         rel = np.abs(traj.final_state.as_array() - target) / np.maximum(target, 1e-12)
         assert rel.max() < 1e-6
 
@@ -120,25 +119,25 @@ class TestIntegration:
 
     def test_scale_equivariance(self):
         c = 10.0
-        small = integrate_params(FIXTURE, horizon=50.0, step=0.01)
-        big = integrate_params(FIXTURE.with_interval(FIXTURE.lam * c,
-                                                     int(FIXTURE.s * c)),
-                               horizon=50.0, step=0.01)
+        small = integrate_schedule(single_interval(FIXTURE, 50.0), step=0.01)
+        scaled = FIXTURE.with_interval(FIXTURE.lam * c, int(FIXTURE.s * c))
+        big = integrate_schedule(single_interval(scaled, 50.0), step=0.01)
         assert np.allclose(big.values, c * small.values, rtol=1e-12, atol=1e-9)
 
     def test_nonnegative_and_clamp_free(self):
-        traj = integrate_params(OVERLOADED, horizon=480.0, step=0.01,
-                                record_every=10)
+        traj = integrate_schedule(single_interval(OVERLOADED, 480.0), step=0.01,
+                                  record_every=10)
         assert traj.values.min() >= 0.0
         assert traj.clamp_events == 0
 
     def test_record_every_must_divide(self):
         with pytest.raises(ParameterError):
-            integrate_params(FIXTURE, horizon=1.0, step=0.01, record_every=7)
+            integrate_schedule(single_interval(FIXTURE, 1.0), step=0.01,
+                               record_every=7)
 
     def test_initial_state_respected(self):
         z0 = FluidState(5.0, 1.0, 2.0)
-        traj = integrate_params(FIXTURE, horizon=1.0, step=0.01, z0=z0)
+        traj = integrate_schedule(single_interval(FIXTURE, 1.0), step=0.01, z0=z0)
         assert traj.state_at(0) == z0
 
 
@@ -184,13 +183,15 @@ class TestReference:
 
     def test_zero_arrivals_from_empty_state_is_exact(self):
         params = FIXTURE.with_interval(0.0, 2)
-        traj = integrate_params(params, horizon=5.0, step=0.01, record_every=10)
+        traj = integrate_schedule(single_interval(params, 5.0), step=0.01,
+                                  record_every=10)
         assert np.all(traj.values == 0.0)
 
     def test_zero_arrivals_drains(self):
         params = FIXTURE.with_interval(0.0, 2)
-        traj = integrate_params(params, horizon=5.0, z0=FluidState(3.0, 1.0, 1.0),
-                                step=0.01, record_every=10)
+        traj = integrate_schedule(single_interval(params, 5.0),
+                                  z0=FluidState(3.0, 1.0, 1.0), step=0.01,
+                                  record_every=10)
         assert traj.values[-1].max() < 3.0 * np.exp(-0.5 * 5.0) * 5
         assert np.all(np.diff(traj.z_q) <= 1e-12)
 
@@ -242,7 +243,8 @@ class TestRates:
 
     def test_span_outside_schedule_rejected(self):
         sch = single_interval(FIXTURE, 30.0)
-        traj = integrate_params(FIXTURE, horizon=60.0, step=0.01, record_every=10)
+        traj = integrate_schedule(single_interval(FIXTURE, 60.0), step=0.01,
+                                  record_every=10)
         with pytest.raises(ParameterError):
             total_arrival_rate(traj, sch)
 

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from orbitq.model import ModelParams, ParameterError, Schedule, single_interval
 from orbitq.simulation import (
     RNG_NAME,
-    CallClass,
-    Outcome,
     SimulationError,
     measure_sl_ap,
     run_replications,
@@ -22,6 +20,9 @@ from orbitq.simulation import (
     write_records_csv,
     write_summary_csv,
 )
+
+# status codes of SimOutput.rec_status
+IN_SERVICE, SERVED, ABANDONED = 1, 2, 3
 
 FIXTURE = ModelParams(lam=2.0, s=2, mu=1.0, theta=1.0, p=0.3, q=0.2,
                       delta_rd=0.5, delta_rc=0.5)
@@ -87,7 +88,7 @@ class TestDynamics:
         assert out.z_rc.max() == 0
         assert out.e_rd[-1] == 0
         assert out.e_rc[-1] == 0
-        assert all(r.call_class is CallClass.FRESH for r in out.records)
+        assert np.all(out.rec_class == 0)
 
     def test_zero_arrivals_empty_system(self):
         params = FIXTURE.with_interval(0.0, 2)
@@ -97,29 +98,29 @@ class TestDynamics:
 
     def test_census_matches_record_outcomes(self):
         out = simulate_path(fixture_schedule(), seed=21)
-        records = out.records
-        served = sum(r.outcome is Outcome.SERVED for r in records)
-        abandoned = sum(r.outcome is Outcome.ABANDONED for r in records)
-        assert served == out.d_s[-1]
-        assert abandoned == out.d_a[-1]
+        assert np.sum(out.rec_status == SERVED) == out.d_s[-1]
+        assert np.sum(out.rec_status == ABANDONED) == out.d_a[-1]
 
     def test_served_waits_nonnegative_and_consistent(self):
         out = simulate_path(fixture_schedule(), seed=21)
-        for r in out.records:
-            if r.outcome is Outcome.SERVED:
-                assert r.service_start == pytest.approx(r.arrival_time + r.wait)
-                assert r.service_end > r.service_start
-            if r.outcome is Outcome.ABANDONED:
-                assert r.wait > 0
+        served = out.rec_status == SERVED
+        abandoned = out.rec_status == ABANDONED
+        assert served.any() and abandoned.any()
+        assert np.allclose(out.rec_sstart[served],
+                           out.rec_arrival[served] + out.rec_wait[served],
+                           rtol=1e-12, atol=1e-12)
+        assert np.all(out.rec_wait[served] >= 0)
+        assert np.all(out.rec_send[served] > out.rec_sstart[served])
+        assert np.all(out.rec_wait[abandoned] > 0)
 
     def test_fcfs_for_fresh_only_model(self):
         params = ModelParams(lam=4.0, s=2, mu=1.0, theta=0.001, p=0.0, q=0.0,
                              delta_rd=0.5, delta_rc=0.5)
         out = simulate_path(single_interval(params, 100.0), seed=2)
-        starts = [(r.arrival_time, r.service_start) for r in out.records
-                  if r.outcome is Outcome.SERVED]
-        by_arrival = [s for _, s in sorted(starts)]
-        assert by_arrival == sorted(by_arrival)
+        served = out.rec_status == SERVED
+        # records are in arrival order, so FCFS means nondecreasing starts
+        assert np.all(np.diff(out.rec_arrival) >= 0)
+        assert np.all(np.diff(out.rec_sstart[served]) >= 0)
 
     def test_staffing_decrease_without_preemption(self):
         sch = Schedule(boundaries=(0.0, 50.0, 100.0), lambdas=(6.0, 6.0),
@@ -127,11 +128,19 @@ class TestDynamics:
                        delta_rd=0.5, delta_rc=0.5)
         out = simulate_path(sch, seed=4)
         verify_conservation(out)
-        in_service_after = []
-        for r in out.records:
-            if r.outcome is Outcome.SERVED and r.service_start >= 50.0:
-                in_service_after.append(r)
-        assert out.d_s[-1] > 0
+        started = (out.rec_status == IN_SERVICE) | (out.rec_status == SERVED)
+        start = out.rec_sstart[started]
+        # a service still running at the horizon has no end yet
+        end = np.nan_to_num(out.rec_send[started], nan=np.inf)
+        # no preemption: services begun under s=6 run on past the decrease
+        assert np.any((start < 50.0) & (end > 50.0))
+        # with s=1, a service starts only once every other one has ended
+        late = np.flatnonzero(start >= 50.0)
+        assert late.size > 0
+        for i in late:
+            running = (start <= start[i]) & (end > start[i])
+            running[i] = False
+            assert not running.any()
 
     def test_event_cap_raises(self):
         with pytest.raises(SimulationError, match="event budget"):
@@ -142,31 +151,19 @@ class TestSlAp:
     def test_counts_by_hand(self):
         out = simulate_path(fixture_schedule(200.0), seed=13)
         sl, ap = measure_sl_ap(out, tau=0.5)
-        records = out.records
-        n_s = sum(r.outcome is Outcome.SERVED for r in records)
-        n_a = sum(r.outcome is Outcome.ABANDONED for r in records)
-        n_sl = sum(r.outcome is Outcome.SERVED and r.wait <= 0.5
-                   for r in records)
+        n_s = n_a = n_sl = 0
+        for status, wait in zip(out.rec_status, out.rec_wait):
+            n_s += status == SERVED
+            n_a += status == ABANDONED
+            n_sl += status == SERVED and wait <= 0.5
         assert ap == pytest.approx(n_a / (n_s + n_a))
         assert sl == pytest.approx(n_sl / (n_s + n_a))
-
-    def test_exclude_abandoned_changes_denominator(self):
-        out = simulate_path(fixture_schedule(200.0), seed=13)
-        sl_incl, _ = measure_sl_ap(out, tau=0.5, include_abandoned=True)
-        sl_excl, _ = measure_sl_ap(out, tau=0.5, include_abandoned=False)
-        assert sl_excl >= sl_incl
 
     def test_window_restricts_attempts(self):
         out = simulate_path(fixture_schedule(200.0), seed=13)
         sl_all, ap_all = measure_sl_ap(out, tau=0.5)
         sl_win, ap_win = measure_sl_ap(out, tau=0.5, window=(50.0, 150.0))
         assert (sl_win, ap_win) != (sl_all, ap_all)
-
-    def test_record_iterable_accepted(self):
-        out = simulate_path(fixture_schedule(200.0), seed=13)
-        fast = measure_sl_ap(out, tau=0.5)
-        slow = measure_sl_ap(out.records, tau=0.5)
-        assert fast == slow
 
     def test_empty_raises(self):
         params = FIXTURE.with_interval(0.0, 2)
@@ -184,9 +181,7 @@ class TestReplications:
         assert summary.r == 4
         assert summary.sl_reps.shape == (4,)
         rep0 = simulate_path(fixture_schedule(50.0), seed=100 * 2 ** 64)
-        summary2, outputs = run_replications(fixture_schedule(50.0), r=2,
-                                             base_seed=100, keep_outputs=True)
-        assert np.array_equal(outputs[0].values, rep0.values)
+        assert np.array_equal(summary.first_path.values, rep0.values)
 
     def test_single_rep_zero_spread(self):
         summary = run_replications(fixture_schedule(50.0), r=1, base_seed=8)
