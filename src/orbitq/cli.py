@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .artifacts import write_json
-from .model import ParameterError, grid_steps, load_config
+from .model import ParameterError, load_config
 from .fluid import (
     FluidIntegrationError,
     integrate_schedule,
@@ -80,8 +80,7 @@ def _done(path: Path) -> None:
 def cmd_fluid(args) -> int:
     schedule = load_config(args.config)
     out = _out_dir(args)
-    traj = integrate_schedule(schedule, step=args.step,
-                              record_every=grid_steps(args.grid, args.step))
+    traj = integrate_schedule(schedule, grid_step=args.grid)
     _done(_atomic(out / "trajectory.csv",
                   lambda p: write_trajectory_csv(p, traj, schedule)))
 
@@ -98,8 +97,7 @@ def cmd_fluid(args) -> int:
         "intervals": intervals,
         "final_state": {"t": float(traj.grid[-1]), "z_q": final.z_q,
                         "z_rd": final.z_rd, "z_rc": final.z_rc},
-        "clamp_events": traj.clamp_events,
-        "step": args.step,
+        "regime_switches": traj.regime_switches,
     }
     _done(_atomic(out / "stationary.json", lambda p: write_json(p, payload)))
     return 0
@@ -140,8 +138,7 @@ def cmd_erlang(args) -> int:
     if args.block > 0:
         schedule = refine_schedule(schedule, args.block)
     out = _out_dir(args)
-    traj = integrate_schedule(schedule, step=args.step,
-                              record_every=grid_steps(args.grid, args.step))
+    traj = integrate_schedule(schedule, grid_step=args.grid)
     perf = psa_performance(schedule, total_arrival_rate(traj, schedule),
                            tau=args.tau)
     _done(_atomic(out / "performance.csv",
@@ -179,20 +176,19 @@ def cmd_validate(args) -> int:
     if args.table == "single":
         rows = run_single_interval_table(
             base, rho_grid, r=args.reps, horizon=schedule.horizon,
-            base_seed=args.seed, step=args.step, grid_step=args.grid)
+            base_seed=args.seed, grid_step=args.grid)
         csv_path = _atomic(out / "table_single.csv",
                            lambda p: write_error_table_csv(p, rows))
     elif args.table == "multi":
         rows = run_multi_interval_table(
             base, rho_grid, r=args.reps,
-            base_seed=args.seed, step=args.step, grid_step=args.grid)
+            base_seed=args.seed, grid_step=args.grid)
         csv_path = _atomic(out / "table_multi.csv",
                            lambda p: write_error_table_csv(p, rows))
     else:
         family = single_interval_family(base, rho_grid, horizon=schedule.horizon)
         rows = run_sl_ap_table(family, tau=args.tau, r=args.reps,
-                               base_seed=args.seed, step=args.step,
-                               grid_step=args.grid)
+                               base_seed=args.seed, grid_step=args.grid)
         csv_path = _atomic(out / "table_slap.csv",
                            lambda p: write_sl_ap_table_csv(p, rows))
     _done(csv_path)
@@ -217,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON schedule config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--step", type=float, default=0.01,
-                       help="ODE step in minutes (default 0.01)")
+                       help="ignored: the fluid path is exact on the --grid "
+                            "nodes; accepted so older command lines still run")
         p.add_argument("--grid", type=float, default=0.1,
                        help="output grid spacing in minutes (default 0.1)")
         p.add_argument("--seed", type=int, default=424242,

@@ -7,15 +7,18 @@ The state z = (z_q, z_rd, z_rc) evolves by
     dz_rd/dt = p*theta*(z_q - s)^+ - delta_rd*z_rd
     dz_rc/dt = q*mu*min(s, z_q) - delta_rc*z_rc
 
-with lam and s piecewise constant over a staffing schedule, solved by
-fixed-step RK4 restarted at each interval boundary. The expected total
-arrival rate lam + delta_rd*z_rd + delta_rc*z_rc along the solved path
-is what drives the Erlang-A step.
+with lam and s piecewise constant over a staffing schedule. On each side
+of z_q = s the drift is affine, so the path is evaluated exactly on the
+output grid with matrix exponentials (Van Loan's augmented form), switching
+sides at the located crossing times. The expected total arrival rate
+lam + delta_rd*z_rd + delta_rc*z_rc along the solved path is what drives
+the Erlang-A step.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +37,12 @@ from .model import (
     schedule_grid,
     validate,
 )
+
+
+# Newton steps allowed when locating a crossing of z_q = s or a turning point
+_MAX_NEWTON = 100
+# values, and Newton steps, below this fraction of their scale are rounding
+_RTOL = 1e-12
 
 
 class FluidIntegrationError(RuntimeError):
@@ -86,107 +95,140 @@ def drift(state: FluidState, lam: float, s: float, params: ModelParams) -> np.nd
     return np.array([dq, drd, drc])
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    # deferred: importing scipy.linalg adds about 0.1 s to every CLI start
+    from scipy.linalg import expm
+    # Scaling the forcing column to the size of A by a power of two is an
+    # exact similarity. It spares scaling and squaring the squarings a large
+    # lam or s would add, and a path that truly overflows comes out as inf.
+    scale = np.ldexp(1.0, max(0, math.frexp(abs(a[:3, 3]).max())[1]
+                              - math.frexp(abs(a[:3, :3]).max())[1]))
+    out = expm(a / [1.0, 1.0, 1.0, scale])
+    out[:3, 3] *= scale
+    return out
+
+
+def _regimes(lam: float, s: int, schedule: Schedule) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(M, probes) below and above z_q = s.
+
+    M = [[A, c], [0, 0]] generates the affine drift z' = A z + c: with
+    w = (z, 1), w(t) = expm(t M) w(0). The three probe rows give, on w,
+    z_q - s signed to be positive past s, z_q's drift d, and d' - r d, with
+    r the eigenvalue of the orbit that decouples (z_rd below s, z_rc above).
+    """
+    mu, theta, p, q = schedule.mu, schedule.theta, schedule.p, schedule.q
+    d_rd, d_rc = schedule.delta_rd, schedule.delta_rc
+    below = np.array([[-mu, d_rd, d_rc, lam],
+                      [0.0, -d_rd, 0.0, 0.0],
+                      [q * mu, 0.0, -d_rc, 0.0],
+                      [0.0, 0.0, 0.0, 0.0]])
+    above = np.array([[-theta, d_rd, d_rc, lam - mu * s + theta * s],
+                      [p * theta, -d_rd, 0.0, -p * theta * s],
+                      [0.0, 0.0, -d_rc, q * mu * s],
+                      [0.0, 0.0, 0.0, 0.0]])
+    return [(m, np.array([[sign, 0.0, 0.0, -sign * s], m[0], m[0] @ m - r * m[0]]))
+            for m, sign, r in ((below, 1.0, -d_rd), (above, -1.0, -d_rc))]
+
+
+def _root(row: np.ndarray, gen: np.ndarray, w: np.ndarray, span: float) -> float:
+    """Where f(t) = row @ expm(t gen) w, negative or 0 at 0 and positive at
+    ``span``, changes sign: Newton steps on f' = row @ gen @ expm(t gen) w,
+    halving the bracket instead where a step would leave it."""
+    lo, hi, t, slope = 0.0, span, 0.5 * span, row @ gen
+    for _ in range(_MAX_NEWTON):
+        wt = _expm(t * gen) @ w
+        f = row @ wt
+        if abs(f) <= _RTOL * (abs(row) @ abs(wt)):
+            return t
+        lo, hi = (lo, t) if f > 0 else (t, hi)
+        step = f / df if (df := slope @ wt) else math.inf
+        if abs(step) <= _RTOL * span:
+            return min(max(t - step, lo), hi)
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+    return t
+
+
+def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndarray,
+                span: float) -> tuple[float, np.ndarray] | None:
+    """First (time, state) in (0, span] at which z_q on w(t) = expm(t gen) w
+    passes s, or None; ``end`` is w(span).
+
+    The third probe, d1, solves a second-order linear ODE whose roots, the
+    other two eigenvalues of A, are real, so it changes sign at most once.
+    Where d1 keeps its sign, exp(-r t) d is monotone, so d changes sign at
+    most once, and where d keeps its sign, z_q is monotone. Cutting the
+    span where d1 and then d change sign leaves at most three pieces on
+    each of which a check at the end finds a pass.
+    """
+    times, states = [0.0, span], [w, end]
+    values = [(probes @ w).tolist(), (probes @ end).tolist()]
+    band = _RTOL * abs(probes[0][3])
+    if min(values[0][1] * values[1][1], values[0][2] * values[1][2]) >= 0 and values[1][0] <= band:
+        return None  # z_q monotone and not past s at the end: the common case
+    for j in (2, 1):
+        for i in range(len(times) - 1, 0, -1):
+            fa, fb, wa, wb = values[i - 1][j], values[i][j], states[i - 1], states[i]
+            if (fa < 0 < fb or fb < 0 < fa) and min(abs(fa), abs(fb)) > (
+                    _RTOL * (abs(probes[j]) @ (abs(wa) + abs(wb)))):
+                tau = _root(probes[j] if fb > 0 else -probes[j], gen, wa, times[i] - times[i - 1])
+                states.insert(i, _expm(tau * gen) @ wa)
+                times.insert(i, times[i - 1] + tau)
+                values.insert(i, (probes @ states[i]).tolist())
+    for i in range(1, len(times)):
+        if values[i][0] > band:
+            tau = _root(probes[0], gen, states[i - 1], times[i] - times[i - 1])
+            return times[i - 1] + tau, _expm(tau * gen) @ states[i - 1]
+    return None
+
+
+# an overflowing state is reported by the finite check, not by warnings
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_schedule(
     schedule: Schedule,
     z0: FluidState = EMPTY_STATE,
-    step: float = 0.01,
-    record_every: int = 1,
+    grid_step: float = 0.1,
 ) -> Trajectory:
-    """Solve the fluid ODE over the whole schedule with fixed-step RK4.
+    """Exact fluid path sampled on ``schedule_grid(schedule, grid_step)``.
 
-    Coefficients (lam, s) restart at each interval boundary; the state is
-    continuous across boundaries. ``step`` must divide every interval
-    length, and the number of steps per interval must be a multiple of
-    ``record_every`` (samples are recorded every ``record_every`` steps,
-    boundaries always included). Negative round-off is clamped to zero
-    and counted in ``Trajectory.clamp_events``.
+    One matrix exponential per (interval, side of z_q = s) carries the
+    state from node to node. Where z_q passes s inside a step, the crossing
+    is located by Newton steps on the exact solution, z_q is set to s there
+    and the step goes on from the other side; ``Trajectory.regime_switches``
+    counts these.
     """
-    if record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {record_every}")
-
-    mu, theta = schedule.mu, schedule.theta
-    p, q = schedule.p, schedule.q
-    d_rd, d_rc = schedule.delta_rd, schedule.delta_rc
-
-    zq, zrd, zrc = z0.z_q, z0.z_rd, z0.z_rc
-    samples = [(zq, zrd, zrc)]
-    clamps = 0
-
-    for t0, t1, lam, s_int in schedule.intervals():
-        s = float(s_int)
-        length = t1 - t0
-        nsteps = grid_steps(length, step)
-        if nsteps % record_every != 0:
-            raise ParameterError(
-                f"record_every={record_every} does not divide the "
-                f"{nsteps} steps of interval [{t0}, {t1})"
-            )
-        h = length / nsteps
-        h2 = h * 0.5
-        h6 = h / 6.0
-        for i in range(1, nsteps + 1):
-            # inlined RK4 stages; this loop dominates runtime
-            sv = s if zq > s else zq
-            ex = zq - s if zq > s else 0.0
-            k1q = lam + d_rd * zrd + d_rc * zrc - mu * sv - theta * ex
-            k1rd = p * theta * ex - d_rd * zrd
-            k1rc = q * mu * sv - d_rc * zrc
-
-            aq = zq + h2 * k1q
-            ard = zrd + h2 * k1rd
-            arc = zrc + h2 * k1rc
-            sv = s if aq > s else aq
-            ex = aq - s if aq > s else 0.0
-            k2q = lam + d_rd * ard + d_rc * arc - mu * sv - theta * ex
-            k2rd = p * theta * ex - d_rd * ard
-            k2rc = q * mu * sv - d_rc * arc
-
-            aq = zq + h2 * k2q
-            ard = zrd + h2 * k2rd
-            arc = zrc + h2 * k2rc
-            sv = s if aq > s else aq
-            ex = aq - s if aq > s else 0.0
-            k3q = lam + d_rd * ard + d_rc * arc - mu * sv - theta * ex
-            k3rd = p * theta * ex - d_rd * ard
-            k3rc = q * mu * sv - d_rc * arc
-
-            aq = zq + h * k3q
-            ard = zrd + h * k3rd
-            arc = zrc + h * k3rc
-            sv = s if aq > s else aq
-            ex = aq - s if aq > s else 0.0
-            k4q = lam + d_rd * ard + d_rc * arc - mu * sv - theta * ex
-            k4rd = p * theta * ex - d_rd * ard
-            k4rc = q * mu * sv - d_rc * arc
-
-            zq += h6 * (k1q + 2.0 * (k2q + k3q) + k4q)
-            zrd += h6 * (k1rd + 2.0 * (k2rd + k3rd) + k4rd)
-            zrc += h6 * (k1rc + 2.0 * (k2rc + k3rc) + k4rc)
-            if zq < 0.0:
-                zq = 0.0
-                clamps += 1
-            if zrd < 0.0:
-                zrd = 0.0
-                clamps += 1
-            if zrc < 0.0:
-                zrc = 0.0
-                clamps += 1
-            if i % record_every == 0:
-                if not (np.isfinite(zq) and np.isfinite(zrd) and np.isfinite(zrc)):
-                    raise FluidIntegrationError(
-                        f"non-finite state ({zq}, {zrd}, {zrc}) near "
-                        f"t={t0 + (length * i) / nsteps}"
-                    )
-                samples.append((zq, zrd, zrc))
-
     # shared grid constructor keeps time columns bit-identical with the
     # simulator's sampling grid at the same resolution
-    grid = schedule_grid(schedule, step * record_every)
-    if len(grid) != len(samples):
-        raise FluidIntegrationError(
-            f"internal grid mismatch: {len(grid)} nodes vs {len(samples)} samples"
-        )
-    return Trajectory(grid, np.array(samples), clamp_events=clamps)
+    grid = schedule_grid(schedule, grid_step)
+    values = np.empty((len(grid), 4))
+    values[0] = w = np.append(z0.as_array(), 1.0)
+    k = switches = 0
+    for t0, t1, lam, s in schedule.intervals():
+        n = grid_steps(t1 - t0, grid_step)
+        h = (t1 - t0) / n
+        regimes = _regimes(lam, s, schedule)
+        steps = [_expm(h * gen) for gen, _ in regimes]
+        drift_above = regimes[1][0][0]
+        for _ in range(n):
+            left = h
+            while True:
+                # on s itself, the side the drift points to
+                above = bool(w[0] > s or (w[0] == s and drift_above @ w > 0))
+                gen, probes = regimes[above]
+                nxt = (steps[above] if left == h else _expm(left * gen)) @ w
+                if not all(map(math.isfinite, nxt.tolist())):
+                    raise FluidIntegrationError(f"non-finite fluid state at t={grid[k + 1]}")
+                switch = _first_pass(gen, probes, w, nxt, left)
+                if switch is None:
+                    break
+                tau, w = switch
+                w[0] = s
+                left -= tau
+                switches += 1
+            k += 1
+            values[k] = w = nxt
+    # rounding leaves values of order 1e-17 below 0 where a component is
+    # identically zero
+    return Trajectory(grid, np.maximum(values[:, :3], 0.0), regime_switches=switches)
 
 
 def stationary_state(params: ModelParams) -> StationaryState:

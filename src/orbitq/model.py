@@ -189,12 +189,19 @@ class Schedule:
                    self.lambdas[i], self.agents[i])
 
 
+# most nodes schedule_grid builds, as ctmc.MAX_STATES and erlang.MAX_LEVELS
+MAX_GRID_NODES = 10_000_000
+
+
 def grid_steps(length: float, step: float) -> int:
     """Number of steps of size ``step`` spanning ``length``, which must divide it."""
     if not (0 < step < math.inf and 0 < length < math.inf):
         raise ParameterError(
             f"step {step} and interval length {length} must be finite and > 0")
-    n = round(length / step)
+    ratio = length / step
+    if not math.isfinite(ratio):
+        raise ParameterError(f"step {step} is too small for interval length {length}")
+    n = round(ratio)
     if n < 1 or abs(n * step - length) > 1e-9 * max(1.0, length):
         raise ParameterError(f"step {step} does not divide interval length {length}")
     return n
@@ -209,18 +216,20 @@ def check_tau(tau: float) -> None:
 def schedule_grid(schedule: Schedule, grid_step: float) -> np.ndarray:
     """Uniform sampling grid over the schedule, hitting every boundary exactly.
 
-    ``grid_step`` must divide each interval length. Both the fluid solver
-    and the simulator derive their output grids from this function so the
-    time columns of their exports are bit-identical.
+    ``grid_step`` must divide each interval length, and the grid may have
+    at most ``MAX_GRID_NODES`` nodes. Both the fluid solver and the
+    simulator derive their output grids from this function so the time
+    columns of their exports are bit-identical.
     """
-    nodes = [0.0]
-    for t0, t1, _, _ in schedule.intervals():
-        n = grid_steps(t1 - t0, grid_step)
-        length = t1 - t0
-        for i in range(1, n):
-            nodes.append(t0 + (length * i) / n)
-        nodes.append(t1)
-    return np.array(nodes)
+    steps = [grid_steps(t1 - t0, grid_step) for t0, t1, _, _ in schedule.intervals()]
+    if 1 + sum(steps) > MAX_GRID_NODES:
+        raise ParameterError(
+            f"grid step {grid_step} gives {1 + sum(steps)} grid nodes, above "
+            f"the limit of {MAX_GRID_NODES}")
+    nodes = [np.zeros(1)]
+    for (t0, t1, _, _), n in zip(schedule.intervals(), steps):
+        nodes += [t0 + ((t1 - t0) * np.arange(1, n)) / n, [t1]]
+    return np.concatenate(nodes)
 
 
 def single_interval(params: ModelParams, horizon: float) -> Schedule:
@@ -267,11 +276,11 @@ class Trajectory:
 
     ``grid`` is strictly increasing with uniform spacing inside each
     schedule interval; ``values`` is the (len(grid), 3) array of
-    (z_q, z_rd, z_rc) samples. ``clamp_events`` counts integration steps
-    where negative round-off had to be clamped to zero.
+    (z_q, z_rd, z_rc) samples. ``regime_switches`` counts the times the
+    fluid solver located z_q crossing the agent count s.
     """
 
-    def __init__(self, grid: np.ndarray, values: np.ndarray, clamp_events: int = 0):
+    def __init__(self, grid: np.ndarray, values: np.ndarray, regime_switches: int = 0):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or values.shape != (grid.size, 3):
@@ -282,7 +291,7 @@ class Trajectory:
             raise ParameterError("trajectory grid must be strictly increasing")
         self.grid = grid
         self.values = values
-        self.clamp_events = clamp_events
+        self.regime_switches = regime_switches
 
     def __len__(self) -> int:
         return self.grid.size
@@ -300,8 +309,7 @@ class Trajectory:
         return self.values[:, 2]
 
     def state_at(self, i: int) -> FluidState:
-        zq, zrd, zrc = self.values[i]
-        return FluidState(max(zq, 0.0), max(zrd, 0.0), max(zrc, 0.0))
+        return FluidState(*self.values[i])
 
     @property
     def final_state(self) -> FluidState:

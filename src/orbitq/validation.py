@@ -20,7 +20,6 @@ from .model import (
     ParameterError,
     Schedule,
     Trajectory,
-    grid_steps,
     single_interval,
 )
 from .fluid import integrate_schedule, total_arrival_rate
@@ -146,9 +145,8 @@ def refine_schedule(schedule: Schedule, block: float) -> Schedule:
 
 
 def _error_row(schedule: Schedule, rho_hat: float, s: int | None, r: int,
-               base_seed: int, step: float, grid_step: float) -> ErrorRow:
-    fluid = integrate_schedule(schedule, step=step,
-                               record_every=grid_steps(grid_step, step))
+               base_seed: int, grid_step: float) -> ErrorRow:
+    fluid = integrate_schedule(schedule, grid_step=grid_step)
     summary = run_replications(schedule, r=r, base_seed=base_seed,
                                grid_step=grid_step)
     metrics = error_metrics(Trajectory(summary.grid, summary.mean), fluid)
@@ -161,7 +159,6 @@ def run_single_interval_table(
     r: int = 100,
     horizon: float = 480.0,
     base_seed: int = 424242,
-    step: float = 0.01,
     grid_step: float = 0.1,
 ) -> list[ErrorRow]:
     """Constant-rate scenarios: one row of orbit errors per target load.
@@ -173,7 +170,7 @@ def run_single_interval_table(
     for rho in rho_grid:
         params = _with_staffing(base, rho)
         rows.append(_error_row(single_interval(params, horizon), rho, params.s,
-                               r, base_seed, step, grid_step))
+                               r, base_seed, grid_step))
     return rows
 
 
@@ -182,14 +179,13 @@ def run_multi_interval_table(
     rho_grid=DEFAULT_RHO_GRID,
     r: int = 100,
     base_seed: int = 424242,
-    step: float = 0.01,
     grid_step: float = 0.1,
 ) -> list[ErrorRow]:
     """Two-peak-day scenarios; staffing varies per interval (s is None)."""
     rows = []
     for rho in rho_grid:
         rows.append(_error_row(two_peak_schedule(base, rho), rho, None,
-                               r, base_seed, step, grid_step))
+                               r, base_seed, grid_step))
     return rows
 
 
@@ -198,7 +194,6 @@ def run_sl_ap_table(
     tau: float = 0.5,
     r: int = 100,
     base_seed: int = 424242,
-    step: float = 0.01,
     grid_step: float = 0.1,
     analytic_block: float = 60.0,
 ) -> list[SlApRow]:
@@ -214,8 +209,7 @@ def run_sl_ap_table(
     rows = []
     for rho, schedule in schedule_family:
         refined = refine_schedule(schedule, analytic_block)
-        fluid = integrate_schedule(refined, step=step,
-                                   record_every=grid_steps(grid_step, step))
+        fluid = integrate_schedule(refined, grid_step=grid_step)
         perf = psa_performance(refined, total_arrival_rate(fluid, refined), tau)
         summary = run_replications(schedule, r=r, base_seed=base_seed,
                                    grid_step=grid_step, tau=tau)

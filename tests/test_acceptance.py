@@ -42,14 +42,14 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_stationary_transient_consistency():
-    """RK4 at T=5000 matches the closed forms, rel < 1e-3, under 10 s."""
+    """The exact fluid solve at T=5000 matches the closed forms, rel < 1e-3,
+    under 10 s."""
     t0 = time.perf_counter()
     worst = 0.0
     for rho in DEFAULT_RHO_GRID:
         params = TABLE_BASE.with_interval(
             40.0, staffing_for(40.0, TABLE_BASE.mu, TABLE_BASE.q, rho))
-        traj = integrate_schedule(single_interval(params, 5000.0), step=0.01,
-                                  record_every=1000)
+        traj = integrate_schedule(single_interval(params, 5000.0), grid_step=10.0)
         target = stationary_state(params).state.as_array()
         assert target.min() > 0.0
         rel = (np.abs(traj.final_state.as_array() - target) / target).max()
@@ -205,8 +205,7 @@ def test_criterion_7_scaling_convergence():
     nonincreasing in n in {1, 4, 16} up to 2 standard errors."""
     params = TABLE_BASE.with_interval(
         40.0, staffing_for(40.0, TABLE_BASE.mu, TABLE_BASE.q, 1.2))
-    fluid = integrate_schedule(single_interval(params, 480.0), step=0.01,
-                               record_every=10)
+    fluid = integrate_schedule(single_interval(params, 480.0), grid_step=0.1)
     devs, ses = [], []
     for n in (1, 4, 16):
         scaled = params.with_interval(params.lam * n, params.s * n)

@@ -198,8 +198,10 @@ class TestErrors:
         ({"lambda": "40"}, None),
         ({"s": 148.9}, None),
         (None, [5]),
+        # valid, but the fluid path tends to lam / (theta (1 - p)) = 4e308
+        ({"lambda": 1e308}, None),
     ], ids=["t_end-infinity", "t_end-nan", "lambda-string", "s-fractional",
-            "interval-not-object"])
+            "interval-not-object", "lambda-overflows"])
     def test_malformed_config_one_error_line(self, tmp_path, capsys,
                                              interval, intervals):
         cfg = json.loads(json.dumps(CONFIG))
@@ -229,16 +231,18 @@ class TestErrors:
     def test_grid_not_a_multiple_of_step(self, small_config_path, tmp_path, capsys):
         code = main(["validate", "--config", small_config_path, "--out",
                      str(tmp_path / "v"), "--table", "slap", "--rho-grid", "1.2",
-                     "--reps", "1", "--step", "0.1", "--grid", "0.15"])
+                     "--reps", "1", "--grid", "0.7"])
         assert code == 1
         assert "does not divide" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,lam,code", [
-        (["fluid", "--step", "0"], 2, 1),
-        (["erlang", "--step", "0"], 2, 1),
-        (["validate", "--table", "single", "--step", "0"], 2, 1),
-        (["fluid", "--step", "nan"], 2, 1),
+        (["fluid", "--grid", "0"], 2, 1),
+        (["erlang", "--grid", "0"], 2, 1),
+        (["validate", "--table", "single", "--grid", "0"], 2, 1),
+        (["fluid", "--grid", "nan"], 2, 1),
         (["fluid", "--grid", "inf"], 2, 1),
+        (["fluid", "--grid", "1e-310"], 2, 1),
+        (["simulate", "--grid", "1e-310"], 2, 1),
         (["simulate", "--tau", "-1"], 2, 1),
         (["simulate", "--tau", "nan"], 2, 1),
         (["erlang", "--tau", "inf"], 2, 1),
@@ -246,8 +250,9 @@ class TestErrors:
         (["validate", "--table", "single", "--rho-grid", "nan"], 2, 1),
         (["erlang", "--block", "nan"], 2, 1),
         (["oracle", "--caps", "10,6,6"], 0, 0),
-    ], ids=["fluid-step-0", "erlang-step-0", "validate-step-0", "fluid-step-nan",
-            "fluid-grid-inf", "simulate-tau-negative", "simulate-tau-nan",
+    ], ids=["fluid-grid-0", "erlang-grid-0", "validate-grid-0", "fluid-grid-nan",
+            "fluid-grid-inf", "fluid-grid-tiny", "simulate-grid-tiny",
+            "simulate-tau-negative", "simulate-tau-nan",
             "erlang-tau-inf", "validate-rho-inf", "validate-rho-nan",
             "erlang-block-nan", "oracle-zero-arrivals"])
     def test_flag_values(self, tmp_path, capsys, argv, lam, code):

@@ -141,7 +141,7 @@ class TestMetrics:
 class TestPipeline:
     def test_psa_on_refined_schedule(self):
         sch = refine_schedule(single_interval(OVERLOADED, 480.0), 60.0)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         perf = psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
         assert len(perf.intervals) == 8
         assert perf.intervals[0].sl > perf.intervals[-1].sl
@@ -154,7 +154,7 @@ class TestPipeline:
 
     def test_interval_rate_is_fresh_plus_orbit_average(self):
         sch = single_interval(OVERLOADED, 60.0)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         rates = total_arrival_rate(traj, sch)
         perf = psa_performance(sch, rates, tau=0.5)
         expected = np.trapezoid(rates.total, traj.grid) / 60.0
@@ -162,7 +162,7 @@ class TestPipeline:
 
     def test_span_mismatch_rejected(self):
         sch = single_interval(OVERLOADED, 60.0)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         rates = total_arrival_rate(traj, sch)
         other = single_interval(OVERLOADED, 120.0)
         with pytest.raises(ParameterError):
@@ -170,7 +170,7 @@ class TestPipeline:
 
     def test_performance_csv(self, tmp_path):
         sch = refine_schedule(single_interval(OVERLOADED, 480.0), 120.0)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         perf = psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
         path = tmp_path / "perf.csv"
         write_performance_csv(path, perf)

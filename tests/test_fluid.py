@@ -1,8 +1,8 @@
-"""Fluid ODE integration, closed-form stationary states, and arrival rates."""
+"""Exact fluid solve, closed-form stationary states, and arrival rates."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from orbitq.model import (
@@ -14,7 +14,9 @@ from orbitq.model import (
     schedule_grid,
     single_interval,
 )
+from orbitq.erlang import psa_performance
 from orbitq.fluid import (
+    FluidIntegrationError,
     Regime,
     drift,
     integrate_schedule,
@@ -96,7 +98,7 @@ class TestStationary:
 class TestIntegration:
     def test_converges_to_stationary(self):
         target = stationary_state(FIXTURE).state.as_array()
-        traj = integrate_schedule(single_interval(FIXTURE, 300.0), step=0.01)
+        traj = integrate_schedule(single_interval(FIXTURE, 300.0), grid_step=0.01)
         rel = np.abs(traj.final_state.as_array() - target) / np.maximum(target, 1e-12)
         assert rel.max() < 1e-6
 
@@ -104,14 +106,14 @@ class TestIntegration:
         sch = Schedule(boundaries=(0.0, 7.0, 20.0), lambdas=(2.0, 3.0),
                        agents=(2, 3), mu=1.0, theta=1.0, p=0.3, q=0.2,
                        delta_rd=0.5, delta_rc=0.5)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         assert np.array_equal(traj.grid, schedule_grid(sch, 0.1))
 
     def test_continuity_across_boundaries(self):
         sch = Schedule(boundaries=(0.0, 10.0, 20.0), lambdas=(2.0, 5.0),
                        agents=(2, 2), mu=1.0, theta=1.0, p=0.3, q=0.2,
                        delta_rd=0.5, delta_rc=0.5)
-        traj = integrate_schedule(sch, step=0.01, record_every=1)
+        traj = integrate_schedule(sch, grid_step=0.01)
         i = int(np.searchsorted(traj.grid, 10.0))
         assert traj.grid[i] == 10.0
         step_sizes = np.abs(np.diff(traj.values[i - 2:i + 2], axis=0)).max(axis=1)
@@ -119,30 +121,29 @@ class TestIntegration:
 
     def test_scale_equivariance(self):
         c = 10.0
-        small = integrate_schedule(single_interval(FIXTURE, 50.0), step=0.01)
+        small = integrate_schedule(single_interval(FIXTURE, 50.0), grid_step=0.01)
         scaled = FIXTURE.with_interval(FIXTURE.lam * c, int(FIXTURE.s * c))
-        big = integrate_schedule(single_interval(scaled, 50.0), step=0.01)
+        big = integrate_schedule(single_interval(scaled, 50.0), grid_step=0.01)
         assert np.allclose(big.values, c * small.values, rtol=1e-12, atol=1e-9)
 
     def test_nonnegative_and_clamp_free(self):
-        traj = integrate_schedule(single_interval(OVERLOADED, 480.0), step=0.01,
-                                  record_every=10)
+        # from empty, z_q rises through s once and the path needs no clamp
+        traj = integrate_schedule(single_interval(OVERLOADED, 480.0), grid_step=0.1)
         assert traj.values.min() >= 0.0
-        assert traj.clamp_events == 0
-
-    def test_record_every_must_divide(self):
-        with pytest.raises(ParameterError):
-            integrate_schedule(single_interval(FIXTURE, 1.0), step=0.01,
-                               record_every=7)
+        assert traj.regime_switches == 1
 
     def test_initial_state_respected(self):
         z0 = FluidState(5.0, 1.0, 2.0)
-        traj = integrate_schedule(single_interval(FIXTURE, 1.0), step=0.01, z0=z0)
+        traj = integrate_schedule(single_interval(FIXTURE, 1.0), z0=z0, grid_step=0.01)
         assert traj.state_at(0) == z0
 
 
-def reference_solution(schedule, z0, grid):
-    """Adaptive DOP853 on the same drift, restarted at each interval boundary."""
+def reference_solution(schedule, z0, grid, max_step=np.inf):
+    """Adaptive DOP853 on the same drift, restarted at each interval boundary.
+
+    Between steps the values come from DOP853's dense output, whose error
+    is not controlled; ``max_step`` bounds the steps where that matters.
+    """
     out = np.empty((len(grid), 3))
     z = z0.as_array()
     out[0] = z
@@ -152,19 +153,22 @@ def reference_solution(schedule, z0, grid):
         sol = solve_ivp(
             lambda _t, y: drift(FluidState(*np.maximum(y, 0.0)), lam, s, params),
             (t0, t1), z, method="DOP853", t_eval=grid[nodes],
-            rtol=1e-11, atol=1e-11)
+            rtol=1e-11, atol=1e-11, max_step=max_step)
         assert sol.success, sol.message
         out[nodes] = sol.y.T
         z = sol.y[:, -1]
     return out
 
 
-def assert_matches_reference(schedule, z0=EMPTY_STATE):
-    """RK4 within 1e-5 of each column's largest value of the reference."""
-    rk = integrate_schedule(schedule, z0=z0, step=0.01, record_every=10)
-    ref = reference_solution(schedule, z0, rk.grid)
+def assert_matches_reference(schedule, z0=EMPTY_STATE, grid_step=0.1, floor=0.0,
+                             max_step=np.inf):
+    """Exact solve within 1e-5 of each column's largest value of the
+    reference, plus ``floor`` times the largest value of any column."""
+    exact = integrate_schedule(schedule, z0=z0, grid_step=grid_step)
+    ref = reference_solution(schedule, z0, exact.grid, max_step)
     scale = np.abs(ref).max(axis=0)
-    assert (np.abs(rk.values - ref).max(axis=0) <= 1e-5 * scale).all()
+    bound = 1e-5 * scale + floor * scale.max()
+    assert (np.abs(exact.values - ref).max(axis=0) <= bound).all()
 
 
 class TestReference:
@@ -181,17 +185,81 @@ class TestReference:
                        delta_rd=0.05, delta_rc=0.01)
         assert_matches_reference(sch, FluidState(100.0, 5.0, 50.0))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # interval lengths in minutes, or in grid steps for a grid step
+        # above 1, so that a step can span a whole interval
+        lengths=st.lists(st.integers(1, 20), min_size=1, max_size=3),
+        # magnitudes of order 1 and up, so that the reference's absolute
+        # tolerance stays far below 1e-5 of every column's scale
+        lams=st.lists(st.floats(1.0, 60.0), min_size=3, max_size=3),
+        agents=st.lists(st.integers(1, 150), min_size=3, max_size=3),
+        z0=st.tuples(*[st.just(0.0) | st.floats(1.0, 300.0)] * 3),
+        grid_step=st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0, 5.0, 10.0, 20.0]),
+        rates=st.tuples(*[st.floats(0.01, 2.0)] * 4),
+        tie=st.booleans(),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95),
+        q=st.just(0.0) | st.floats(0.05, 0.9),
+    )
+    # z_q passes s = 128 (peak 128.3 at t = 1.14) and comes back between the
+    # nodes at t = 1 and 1.25: only the turning point inside the step shows it
+    @example(lengths=[2], lams=[19.0, 1.0, 1.0], agents=[128, 1, 1],
+             z0=(0.0, 45.0, 174.0), grid_step=0.25,
+             rates=(0.8125, 1.0, 0.875, 1.75), tie=False, p=1.0, q=0.375)
+    # z_q rises past s = 11, falls back below it at t = 3.1 and rises again
+    # inside one 5-minute step: the drift is positive at both of its ends
+    @example(lengths=[1], lams=[3.0, 1.0, 1.0], agents=[11, 1, 1],
+             z0=(0.0, 13.0, 0.0), grid_step=5.0,
+             rates=(0.5, 1.0, 1.0, 0.5), tie=False, p=0.0, q=0.5)
+    def test_exact_matches_solve_ivp_property(self, lengths, lams, agents, z0,
+                                              grid_step, rates, tie, p, q):
+        # tie: delta_rd = mu = theta = delta_rc, where the regime matrices
+        # have repeated eigenvalues
+        mu, theta, d_rd, d_rc = (rates[0],) * 4 if tie else rates
+        m = len(lengths)
+        unit = max(grid_step, 1.0)
+        sch = Schedule(boundaries=tuple(float(unit * b) for b in np.cumsum([0, *lengths])),
+                       lambdas=tuple(lams[:m]), agents=tuple(agents[:m]),
+                       mu=mu, theta=theta, p=p, q=q, delta_rd=d_rd, delta_rc=d_rc)
+        # Columns far smaller than the others need a floor: one that is
+        # identically zero (q = 0, say) is matched only up to rounding, and
+        # one filled by a short pass of z_q above s only up to the error of
+        # the reference's steps across that kink (1.6e-8 against the exact
+        # 1.1e-6 in one case). Bounded steps keep the reference's dense
+        # output accurate for a column of order 1e-3 next to one of order 10.
+        assert_matches_reference(sch, FluidState(*z0), grid_step, floor=1e-7,
+                                 max_step=min(grid_step, 1.0))
+
+    def test_overflowing_state_raises(self):
+        # the true path tends to lam / (theta (1 - p)) = 4e308, past the
+        # largest double
+        params = OVERLOADED.with_interval(1e308, 148)
+        with pytest.raises(FluidIntegrationError, match="non-finite"):
+            integrate_schedule(single_interval(params, 480.0), grid_step=0.1)
+
+    def test_orbits_without_feedback_stay_nonnegative(self):
+        # with p = q = 0 and z_q below s nothing enters either orbit, but the
+        # exponentials leave rounding of order -1e-17 there; an idle second
+        # interval would hand that to the Erlang-A step as a negative rate
+        sch = Schedule(boundaries=(0.0, 10.0, 20.0), lambdas=(1.0, 0.0),
+                       agents=(4, 4), mu=1.0, theta=1.0, p=0.0, q=0.0,
+                       delta_rd=2.0, delta_rc=1.5)
+        traj = integrate_schedule(sch, grid_step=1.0)
+        assert traj.values.min() >= 0.0
+        # the Erlang-A step then sees no inflow at all in the idle interval,
+        # not a negative one, and reports what it reports for exact zeros
+        with pytest.raises(ParameterError, match="undefined for arrival_rate = 0"):
+            psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
+
     def test_zero_arrivals_from_empty_state_is_exact(self):
         params = FIXTURE.with_interval(0.0, 2)
-        traj = integrate_schedule(single_interval(params, 5.0), step=0.01,
-                                  record_every=10)
+        traj = integrate_schedule(single_interval(params, 5.0), grid_step=0.1)
         assert np.all(traj.values == 0.0)
 
     def test_zero_arrivals_drains(self):
         params = FIXTURE.with_interval(0.0, 2)
         traj = integrate_schedule(single_interval(params, 5.0),
-                                  z0=FluidState(3.0, 1.0, 1.0), step=0.01,
-                                  record_every=10)
+                                  z0=FluidState(3.0, 1.0, 1.0), grid_step=0.1)
         assert traj.values[-1].max() < 3.0 * np.exp(-0.5 * 5.0) * 5
         assert np.all(np.diff(traj.z_q) <= 1e-12)
 
@@ -199,7 +267,7 @@ class TestReference:
 class TestRates:
     def test_fields_are_arrays_on_the_grid(self):
         sch = single_interval(OVERLOADED, 60.0)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         rates = total_arrival_rate(traj, sch)
         assert np.array_equal(rates.t, traj.grid)
         for field in (rates.total, rates.fresh, rates.redial, rates.reconnect):
@@ -207,7 +275,7 @@ class TestRates:
 
     def test_decomposition_sums_exactly(self):
         sch = single_interval(OVERLOADED, 60.0)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         rates = total_arrival_rate(traj, sch)
         assert np.array_equal(rates.total,
                               rates.fresh + rates.redial + rates.reconnect)
@@ -216,7 +284,7 @@ class TestRates:
         sch = Schedule(boundaries=(0.0, 5.0, 10.0), lambdas=(2.0, 7.0),
                        agents=(2, 2), mu=1.0, theta=1.0, p=0.3, q=0.2,
                        delta_rd=0.5, delta_rc=0.5)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         rates = total_arrival_rate(traj, sch)
         at_boundary = np.flatnonzero(rates.t == 5.0)
         assert len(at_boundary) == 1
@@ -229,22 +297,21 @@ class TestRates:
         sch = Schedule(boundaries=(0.0, 0.3, 1.0, 2.5), lambdas=(2.0, 7.0, 4.0),
                        agents=(2, 3, 2), mu=1.0, theta=1.0, p=0.3, q=0.2,
                        delta_rd=0.5, delta_rc=0.5)
-        traj = integrate_schedule(sch, step=0.01, record_every=1)
+        traj = integrate_schedule(sch, grid_step=0.01)
         rates = total_arrival_rate(traj, sch)
         expected = [sch.lambdas[sch.interval_index(t)] for t in traj.grid]
         assert rates.fresh.tolist() == expected
 
     def test_orbit_components_proportional(self):
         sch = single_interval(FIXTURE, 30.0)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         rates = total_arrival_rate(traj, sch)
         assert np.array_equal(rates.redial, FIXTURE.delta_rd * traj.z_rd)
         assert np.array_equal(rates.reconnect, FIXTURE.delta_rc * traj.z_rc)
 
     def test_span_outside_schedule_rejected(self):
         sch = single_interval(FIXTURE, 30.0)
-        traj = integrate_schedule(single_interval(FIXTURE, 60.0), step=0.01,
-                                  record_every=10)
+        traj = integrate_schedule(single_interval(FIXTURE, 60.0), grid_step=0.1)
         with pytest.raises(ParameterError):
             total_arrival_rate(traj, sch)
 
@@ -252,7 +319,7 @@ class TestRates:
 class TestCsv:
     def test_round_trippable_rows(self, tmp_path):
         sch = single_interval(FIXTURE, 5.0)
-        traj = integrate_schedule(sch, step=0.01, record_every=10)
+        traj = integrate_schedule(sch, grid_step=0.1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, traj, sch)
         lines = path.read_text(encoding="utf-8").strip().split("\n")

@@ -135,6 +135,15 @@ class TestGrid:
         with pytest.raises(ParameterError):
             grid_steps(1.0, 0.3)
 
+    def test_schedule_grid_node_limit(self):
+        # older code tries the allocation here: do not run this test against it
+        sch = Schedule(boundaries=(0.0, 480.0), lambdas=(1.0,), agents=(1,),
+                       mu=1.0, theta=1.0, p=0.0, q=0.0, delta_rd=1.0, delta_rc=1.0)
+        with pytest.raises(ParameterError, match="too small"):
+            schedule_grid(sch, 1e-310)
+        with pytest.raises(ParameterError, match="48000001 grid nodes"):
+            schedule_grid(sch, 1e-5)
+
     def test_schedule_grid_hits_boundaries_exactly(self):
         sch = Schedule(boundaries=(0.0, 10.0, 30.0), lambdas=(1.0, 2.0),
                        agents=(1, 2), mu=1.0, theta=1.0, p=0.0, q=0.0,

@@ -123,8 +123,8 @@ class TestScheduleBuilders:
     def test_refine_preserves_dynamics(self):
         sch = single_interval(BASE.with_interval(40.0, 148), 120.0)
         ref = refine_schedule(sch, 30.0)
-        a = integrate_schedule(sch, step=0.01, record_every=10)
-        b = integrate_schedule(ref, step=0.01, record_every=10)
+        a = integrate_schedule(sch, grid_step=0.1)
+        b = integrate_schedule(ref, grid_step=0.1)
         assert np.array_equal(a.grid, b.grid)
         assert np.allclose(a.values, b.values, rtol=1e-14, atol=1e-12)
 
@@ -150,15 +150,15 @@ class TestTables:
         assert by_rho[1.2].e_rd < by_rho[1.05].e_rd / 5.0
 
     def test_grid_not_a_multiple_of_step_rejected(self):
-        # 0.15 / 0.1 used to round silently to a 0.2-minute grid
+        # a 0.7-minute grid step does not divide the 60-minute analytic blocks
         with pytest.raises(ParameterError, match="does not divide"):
             run_sl_ap_table(single_interval_family(BASE, (1.2,)), r=1,
-                            step=0.1, grid_step=0.15)
+                            grid_step=0.7)
 
     def test_error_table_grid_not_a_multiple_of_step_rejected(self):
+        # nor the 480-minute interval
         with pytest.raises(ParameterError, match="does not divide"):
-            run_single_interval_table(BASE, rho_grid=(1.2,), r=1,
-                                      step=0.1, grid_step=0.15)
+            run_single_interval_table(BASE, rho_grid=(1.2,), r=1, grid_step=0.7)
 
     def test_sl_ap_rows_in_unit_interval(self):
         rows = run_sl_ap_table(single_interval_family(BASE, (1.2,)), r=10)
