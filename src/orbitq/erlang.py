@@ -193,8 +193,8 @@ class IntervalPerformance:
     t_end: float
     lambda_mean: float
     s: int
-    sl: float
-    ap: float
+    sl: float | None  # None for an idle interval
+    ap: float | None
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,8 @@ def psa_performance(
     the interval's own lambda (exact, avoiding the right-continuous jump
     at boundaries), the orbit components are trapezoid averages of the
     fluid decomposition. SL/AP per interval come from the stationary
-    formulas at (Lambda_i, s_i); the aggregate weights intervals by
+    formulas at (Lambda_i, s_i); an idle interval (Lambda_i = 0) has no
+    SL or AP, so both are None. The aggregate weights intervals by
     expected arrivals Lambda_i * length.
     """
     times = fluid_rates.t
@@ -246,19 +247,22 @@ def psa_performance(
             raise ParameterError(
                 f"fluid_rates has fewer than 2 nodes in interval [{t0}, {t1})"
             )
-        lam_i = lam + np.trapezoid(orbit[sel], tt) / (t1 - t0)
-        inp = ErlangAInput(arrival_rate=float(lam_i), s=s, mu=schedule.mu,
-                           theta=schedule.theta)
+        lam_i = float(lam + np.trapezoid(orbit[sel], tt) / (t1 - t0))
+        sl = ap = None
+        if lam_i > 0:
+            inp = ErlangAInput(arrival_rate=lam_i, s=s, mu=schedule.mu,
+                               theta=schedule.theta)
+            sl, ap = service_level(inp, tau), abandonment_prob(inp)
         rows.append(IntervalPerformance(
-            index=i, t_start=t0, t_end=t1, lambda_mean=float(lam_i), s=s,
-            sl=service_level(inp, tau), ap=abandonment_prob(inp),
+            index=i, t_start=t0, t_end=t1, lambda_mean=lam_i, s=s, sl=sl, ap=ap,
         ))
 
-    weights = np.array([r.lambda_mean * (r.t_end - r.t_start) for r in rows])
+    served = [r for r in rows if r.sl is not None]
+    weights = np.array([r.lambda_mean * (r.t_end - r.t_start) for r in served])
     if weights.sum() <= 0:
         raise ParameterError("all intervals have zero expected arrivals")
-    sls = np.array([r.sl for r in rows])
-    aps = np.array([r.ap for r in rows])
+    sls = np.array([r.sl for r in served])
+    aps = np.array([r.ap for r in served])
     return PerformanceSummary(
         intervals=tuple(rows),
         sl=float(weights @ sls / weights.sum()),
@@ -271,7 +275,10 @@ PERFORMANCE_CSV_HEADER = "interval,t_start,t_end,lambda_mean,s,sl,ap"
 
 
 def write_performance_csv(path: str | Path, summary: PerformanceSummary) -> None:
-    """One row per interval plus an ``aggregate`` row with an empty s cell."""
+    """One row per interval plus an ``aggregate`` row with an empty s cell.
+
+    An idle interval's SL and AP cells are empty.
+    """
     rows = summary.intervals
     write_csv(path, PERFORMANCE_CSV_HEADER, [
         [*(r.index for r in rows), "aggregate"],
@@ -279,6 +286,6 @@ def write_performance_csv(path: str | Path, summary: PerformanceSummary) -> None
         [*(r.t_end for r in rows), rows[-1].t_end],
         [*(r.lambda_mean for r in rows), summary.lambda_mean],
         [*(r.s for r in rows), ""],
-        [*(r.sl for r in rows), summary.sl],
-        [*(r.ap for r in rows), summary.ap],
+        [*("" if r.sl is None else r.sl for r in rows), summary.sl],
+        [*("" if r.ap is None else r.ap for r in rows), summary.ap],
     ])

@@ -1,7 +1,7 @@
-"""Discrete-event simulation of the call-center model with orbits.
+"""Jump-chain simulation of the call-center model with orbits.
 
 Stochastic ground truth for the fluid solver: an exact continuous-time
-event simulation with Poisson fresh arrivals, exponential services,
+simulation with Poisson fresh arrivals, exponential services,
 per-customer exponential patience, and per-customer exponential orbit
 residence. Every abandonment enters the redial orbit with probability p;
 every completed service enters the reconnect orbit with probability q;
@@ -9,19 +9,21 @@ orbit exits re-arrive as new call attempts sharing the FCFS queue.
 
 Randomness comes from a counter-based Philox generator so replication
 streams are independent by construction: replication r of a run seeded
-with base_seed uses key = base_seed * 2**64 + r. All draws for one path
-come from a single stream in event order, so a fixed seed reproduces the
-exact event sequence.
+with base_seed uses key = base_seed * 2**64 + r. A path draws standard
+exponentials and uniforms from that one stream in blocks of 4096, a new
+block of a kind whenever the last one is used up, so a fixed seed
+reproduces the exact path and the output grid never changes what is
+drawn.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from heapq import heappush, heappop
+from itertools import chain
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,12 +32,17 @@ from .model import ParameterError, Schedule, Trajectory, check_tau, schedule_gri
 from .fluid import TRAJECTORY_CSV_HEADER, total_arrival_rate
 
 RNG_NAME = "philox4x64"
-SEED_DERIVATION = "key = base_seed * 2**64 + rep_index"
+SEED_DERIVATION = ("key = base_seed * 2**64 + rep_index; standard exponentials "
+                   "and uniforms drawn from it in blocks of 4096")
+# bumped whenever the same seed starts to give a different path
+STREAM_VERSION = 2
 
 _INF = float("inf")
 
-# event codes; heap entries are (time, sequence, code, payload)
-_FRESH, _SVC_END, _ABANDON, _RD_EXIT, _RC_EXIT = 0, 1, 2, 3, 4
+# random numbers drawn per call into the generator
+_BLOCK = 4096
+# queue slots allowed beyond twice the callers waiting before a trim
+_SLACK = 64
 
 # per-attempt status codes
 _WAITING, _IN_SERVICE, _SERVED, _ABANDONED = 0, 1, 2, 3
@@ -63,7 +70,8 @@ class SimOutput:
     ``rec_*`` arrays, one entry per attempt in arrival order: arrival
     time, class code (0 fresh, 1 redial, 2 reconnect), status code
     (0 waiting, 1 in service, 2 served, 3 abandoned), wait, service start
-    and service end (NaN where undefined).
+    and service end (NaN where undefined). ``n_events`` is the number of
+    transitions: arrivals, completions, abandonments and orbit exits.
     """
 
     def __init__(self, grid, z_q, z_rd, z_rc, pi_lam, d_s, d_a, d_rd, d_rc,
@@ -124,6 +132,11 @@ def verify_conservation(out: SimOutput) -> None:
         )
 
 
+def _stream(draw) -> Callable[[], float]:
+    """A function returning the next value of draw(_BLOCK), block by block."""
+    return chain.from_iterable(iter(lambda: draw(_BLOCK).tolist(), None)).__next__
+
+
 def simulate_path(
     schedule: Schedule,
     seed: int,
@@ -133,18 +146,24 @@ def simulate_path(
 ) -> SimOutput:
     """Simulate one path on [0, horizon], sampling on the shared grid.
 
-    Fresh arrivals are Poisson at the current interval's rate; a pending
-    fresh arrival is invalidated and redrawn at each boundary (memoryless,
-    so the stream restarts exactly). On a staffing decrease, in-progress
-    services finish (no preemption) and freed slots are not refilled
-    until the busy count drops below the new s. ``initial`` puts
-    customers in the system at t=0: queue members are recorded as fresh
-    attempts arriving at 0 (served FCFS), orbit members carry no record
-    until they re-attempt. Raises after ``max_events`` processed events.
+    The path is a jump chain (Gillespie's direct method): from the total
+    rate R of the five moves (fresh arrival, service completion,
+    abandonment, redial exit, reconnect exit) each step draws an
+    exponential holding time E/R and one uniform U, and U·R picks the
+    move. The completing caller is picked uniformly among those in
+    service from U's residual in the move's band; the abandoner uniformly
+    among those waiting. A holding time that would cross an interval
+    boundary is discarded and redrawn under the new rates (memoryless, so
+    this is exact). On a staffing decrease, in-progress services finish
+    (no preemption) and freed slots are not refilled until the busy count
+    drops below the new s. ``initial`` puts customers in the system at
+    t=0: queue members are recorded as fresh attempts arriving at 0
+    (served FCFS), orbit members carry no record until they re-attempt.
+    ``max_events`` bounds the number of transitions; one more raises.
     """
     grid = schedule_grid(schedule, grid_step)
     n_nodes = len(grid)
-    grid_l = grid.tolist()
+    grid_l = grid.tolist() + [_INF]
 
     zq0, zrd0, zrc0 = initial
     if min(initial) < 0:
@@ -159,134 +178,92 @@ def simulate_path(
     m = schedule.m
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    rexp = rng.exponential
-    rnd = rng.random
-
-    # grid sample storage
-    g_zq = np.zeros(n_nodes, dtype=np.int64)
-    g_zrd = np.zeros(n_nodes, dtype=np.int64)
-    g_zrc = np.zeros(n_nodes, dtype=np.int64)
-    g_pi = np.zeros(n_nodes, dtype=np.int64)
-    g_ds = np.zeros(n_nodes, dtype=np.int64)
-    g_da = np.zeros(n_nodes, dtype=np.int64)
-    g_drd = np.zeros(n_nodes, dtype=np.int64)
-    g_drc = np.zeros(n_nodes, dtype=np.int64)
-    g_erd = np.zeros(n_nodes, dtype=np.int64)
-    g_erc = np.zeros(n_nodes, dtype=np.int64)
-
-    # compact per-attempt storage
-    ra = array("d")
-    rk = array("b")
-    rstat = array("b")
-    rw = array("d")
-    rss = array("d")
-    rse = array("d")
-    nan = float("nan")
-
-    heap: list = []
-    queue: deque[int] = deque()
-    seq = 0
-
-    zq, zrd, zrc = zq0, zrd0, zrc0
-    busy = 0
-    pi_lam = d_s = d_a = d_rd = d_rc = e_rd = e_rc = 0
-    n_att = 0
-    gi = 0
-    events = 0
+    exponential = _stream(rng.standard_exponential)
+    uniform = _stream(rng.random)
 
     s = agents[0]
     lam = lambdas[0]
-    horizon = boundaries[m]
-    fresh_ver = 0
+    nan = float("nan")
 
-    def attempt(t: float, klass: int) -> None:
-        nonlocal zq, busy, n_att, seq
-        cid = n_att
-        n_att += 1
-        ra.append(t)
-        rk.append(klass)
-        zq += 1
-        if busy < s:
-            busy += 1
-            rstat.append(_IN_SERVICE)
-            rw.append(0.0)
-            rss.append(t)
-            rse.append(nan)
-            seq += 1
-            heappush(heap, (t + rexp() / mu, seq, _SVC_END, cid))
-        else:
-            rstat.append(_WAITING)
-            rw.append(nan)
-            rss.append(nan)
-            rse.append(nan)
-            queue.append(cid)
-            seq += 1
-            heappush(heap, (t + rexp() / theta, seq, _ABANDON, cid))
+    # Per-attempt records in arrival order, starting with the initial
+    # queue: fresh attempts at t=0, the first s of them in service. rt is
+    # the time an attempt left the queue (service start or abandonment),
+    # rse its service end; waits and service starts follow from rt.
+    busy = min(zq0, s)
+    n_wait = zq0 - busy
+    ra = array("d", [0.0] * zq0)
+    rk = array("b", [0] * zq0)
+    rstat = array("b", [_IN_SERVICE] * busy + [_WAITING] * n_wait)
+    rt = array("d", [0.0] * busy + [nan] * n_wait)
+    rse = array("d", [nan] * zq0)
+    n_att = zq0
+    # callers in service, in no order (swap-remove); callers waiting, in
+    # arrival order from qh on, with those who abandoned left in place as
+    # tombstones
+    serving = list(range(busy))
+    queue = list(range(busy, zq0))
+    qh = 0
 
-    def start_from_queue(t: float) -> None:
-        # skip abandoned entries lazily; start at most one service
-        nonlocal busy, seq
-        while queue:
-            cid = queue.popleft()
-            if rstat[cid] == _WAITING:
-                rstat[cid] = _IN_SERVICE
-                busy += 1
-                rw[cid] = t - ra[cid]
-                rss[cid] = t
-                seq += 1
-                heappush(heap, (t + rexp() / mu, seq, _SVC_END, cid))
-                return
+    def serve_next(t: float) -> None:
+        # the head of the queue, past any tombstones, enters service
+        nonlocal busy, qh
+        cid = queue[qh]
+        while rstat[cid] != _WAITING:
+            qh += 1
+            cid = queue[qh]
+        qh += 1
+        busy += 1
+        serving.append(cid)
+        rstat[cid] = _IN_SERVICE
+        rt[cid] = t
 
-    # initial population: queue members as fresh attempts at t=0,
-    # orbit members scheduled for their (memoryless) exits
-    for _ in range(zq0):
-        zq -= 1          # attempt() re-increments
-        attempt(0.0, 0)
-    for _ in range(zrd0):
-        seq += 1
-        heappush(heap, (rexp() / drd_rate, seq, _RD_EXIT, 0))
-    for _ in range(zrc0):
-        seq += 1
-        heappush(heap, (rexp() / drc_rate, seq, _RC_EXIT, 0))
+    def trim_queue() -> None:
+        # drop served callers and tombstones, so that the queue holds
+        # about as many slots as callers waiting: memory follows the queue,
+        # not the path, and the abandoner's rejection needs under two tries
+        # on average
+        nonlocal qh
+        queue[:] = [c for c in queue[qh:] if rstat[c] == _WAITING]
+        qh = 0
 
-    if lam > 0:
-        seq += 1
-        heappush(heap, (rexp() / lam, seq, _FRESH, fresh_ver))
+    # grid samples, ten counters per node in SimOutput's column order
+    samples = array("q")
+    zq, zrd, zrc = zq0, zrd0, zrc0
+    pi_lam = d_s = d_a = d_rd = d_rc = e_rd = e_rc = 0
+    gi = 0
+    next_g = grid_l[0]
+    events = 0
 
+    t = 0.0
     bi = 1
     next_b = boundaries[1]
 
     while True:
-        te = heap[0][0] if heap else _INF
-        if next_b <= te:
-            # left-continuous sampling: record state before boundary actions
-            while gi < n_nodes and grid_l[gi] <= next_b:
-                g_zq[gi] = zq; g_zrd[gi] = zrd; g_zrc[gi] = zrc
-                g_pi[gi] = pi_lam; g_ds[gi] = d_s; g_da[gi] = d_a
-                g_drd[gi] = d_rd; g_drc[gi] = d_rc
-                g_erd[gi] = e_rd; g_erc[gi] = e_rc
-                gi += 1
-            if bi >= m:
+        c_svc = lam + mu * busy
+        c_ab = c_svc + theta * (zq - busy)
+        c_rd = c_ab + drd_rate * zrd
+        total = c_rd + drc_rate * zrc
+        t_next = t + exponential() / total if total > 0.0 else _INF
+        crossing = t_next >= next_b
+        if crossing:
+            t_next = next_b
+        # left-continuous sampling: the state just before the move
+        while next_g <= t_next:
+            samples.extend((zq, zrd, zrc, pi_lam, d_s, d_a, d_rd, d_rc, e_rd, e_rc))
+            gi += 1
+            next_g = grid_l[gi]
+        t = t_next
+        if crossing:
+            if bi == m:
                 break
             s = agents[bi]
             lam = lambdas[bi]
-            fresh_ver += 1
-            if lam > 0:
-                seq += 1
-                heappush(heap, (next_b + rexp() / lam, seq, _FRESH, fresh_ver))
-            while busy < s and queue:
-                start_from_queue(next_b)
+            while busy < s and zq > busy:
+                serve_next(t)
             bi += 1
             next_b = boundaries[bi]
             continue
 
-        t, _, code, payload = heappop(heap)
-        while gi < n_nodes and grid_l[gi] <= t:
-            g_zq[gi] = zq; g_zrd[gi] = zrd; g_zrc[gi] = zrc
-            g_pi[gi] = pi_lam; g_ds[gi] = d_s; g_da[gi] = d_a
-            g_drd[gi] = d_rd; g_drc[gi] = d_rc
-            g_erd[gi] = e_rd; g_erc[gi] = e_rc
-            gi += 1
         events += 1
         if events > max_events:
             raise SimulationError(
@@ -294,54 +271,80 @@ def simulate_path(
                 f"(seed {seed}, state Z=({zq}, {zrd}, {zrc}), "
                 f"{n_att} attempts so far)"
             )
-
-        if code == _FRESH:
-            if payload != fresh_ver:
-                continue  # drawn under a previous interval's rate
+        # U < 1 gives u < total, so a move of zero rate is never picked
+        u = uniform() * total
+        if u < lam:
             pi_lam += 1
-            attempt(t, 0)
-            seq += 1
-            heappush(heap, (t + rexp() / lam, seq, _FRESH, fresh_ver))
-        elif code == _SVC_END:
+            klass = 0
+        elif u < c_svc:
+            k = int((u - lam) / mu)
+            if k == busy:  # rounding at the band's top
+                k -= 1
+            cid = serving[k]
+            serving[k] = serving[-1]
+            serving.pop()
             busy -= 1
             zq -= 1
             d_s += 1
-            rstat[payload] = _SERVED
-            rse[payload] = t
-            if q > 0.0 and rnd() < q:
+            rstat[cid] = _SERVED
+            rse[cid] = t
+            if q > 0.0 and uniform() < q:
                 zrc += 1
                 e_rc += 1
-                seq += 1
-                heappush(heap, (t + rexp() / drc_rate, seq, _RC_EXIT, 0))
-            if busy < s:
-                start_from_queue(t)
-        elif code == _ABANDON:
-            if rstat[payload] != _WAITING:
-                continue  # already in service; patience no longer applies
-            rstat[payload] = _ABANDONED
+            if busy < s and zq > busy:
+                serve_next(t)
+            continue
+        elif u < c_ab:
+            # uniform over the waiting callers: a uniform slot of the
+            # queue, redrawn while it holds a tombstone
+            n_slots = len(queue) - qh
+            cid = queue[qh + int(uniform() * n_slots)]
+            while rstat[cid] != _WAITING:
+                cid = queue[qh + int(uniform() * n_slots)]
+            rstat[cid] = _ABANDONED
+            rt[cid] = t
             zq -= 1
             d_a += 1
-            rw[payload] = t - ra[payload]
-            if p > 0.0 and rnd() < p:
+            if p > 0.0 and uniform() < p:
                 zrd += 1
                 e_rd += 1
-                seq += 1
-                heappush(heap, (t + rexp() / drd_rate, seq, _RD_EXIT, 0))
-        elif code == _RD_EXIT:
+            if len(queue) > 2 * (zq - busy) + _SLACK:
+                trim_queue()
+            continue
+        elif u < c_rd:
             zrd -= 1
             d_rd += 1
-            attempt(t, 1)
-        else:  # _RC_EXIT
+            klass = 1
+        else:
             zrc -= 1
             d_rc += 1
-            attempt(t, 2)
+            klass = 2
+        # the attempt goes straight into service if an agent is free
+        ra.append(t)
+        rk.append(klass)
+        rse.append(nan)
+        zq += 1
+        if busy < s:
+            busy += 1
+            serving.append(n_att)
+            rstat.append(_IN_SERVICE)
+            rt.append(t)
+        else:
+            queue.append(n_att)
+            rstat.append(_WAITING)
+            rt.append(nan)
+            if len(queue) > 2 * (zq - busy) + _SLACK:
+                trim_queue()
+        n_att += 1
 
+    cols = np.frombuffer(samples, dtype=np.int64).reshape(n_nodes, 10).T
+    status = np.frombuffer(rstat, dtype=np.int8)
+    left = np.frombuffer(rt)
     out = SimOutput(
-        grid=grid, z_q=g_zq, z_rd=g_zrd, z_rc=g_zrc, pi_lam=g_pi, d_s=g_ds,
-        d_a=g_da, d_rd=g_drd, d_rc=g_drc, e_rd=g_erd, e_rc=g_erc,
-        rec_arrival=ra, rec_class=rk, rec_status=rstat, rec_wait=rw,
-        rec_sstart=rss, rec_send=rse, seed=seed, grid_step=grid_step,
-        initial=initial, n_events=events,
+        grid, *cols, rec_arrival=ra, rec_class=rk, rec_status=rstat,
+        rec_wait=left - np.frombuffer(ra),
+        rec_sstart=np.where(status == _ABANDONED, nan, left), rec_send=rse,
+        seed=seed, grid_step=grid_step, initial=initial, n_events=events,
     )
     verify_conservation(out)
     return out
@@ -508,6 +511,7 @@ def write_metadata_json(path: str | Path, seed: int, r: int,
         "grid_step": grid_step,
         "rng": RNG_NAME,
         "seed_derivation": SEED_DERIVATION,
+        "stream_version": STREAM_VERSION,
     }
     if extra:
         payload.update(extra)

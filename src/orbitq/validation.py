@@ -225,11 +225,6 @@ def single_interval_family(base: ModelParams, rho_grid,
             for rho in rho_grid]
 
 
-def two_peak_family(base: ModelParams, rho_grid):
-    """(rho_hat, Schedule) pairs over the synthetic two-peak day."""
-    return [(rho, two_peak_schedule(base, rho)) for rho in rho_grid]
-
-
 ERROR_CSV_HEADER = "rho_hat,s,e_rd,e_rc"
 SL_AP_CSV_HEADER = "rho_hat,sl_sim,sl_a,ap_sim,ap_a"
 

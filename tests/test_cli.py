@@ -105,6 +105,22 @@ class TestErlangCommand:
         lines = (out / "performance.csv").read_text(encoding="utf-8")
         assert len(lines.strip().split("\n")) == 1 + 1 + 1
 
+    def test_idle_interval_has_empty_cells(self, tmp_path):
+        cfg = dict(SMALL_CONFIG, intervals=[
+            {"t_start": 0, "t_end": 30, "lambda": 0, "s": 2},
+            {"t_start": 30, "t_end": 60, "lambda": 2, "s": 2}])
+        path = tmp_path / "idle.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "erl"
+        assert main(["erlang", "--config", str(path), "--out", str(out),
+                     "--block", "0"]) == 0
+        lines = (out / "performance.csv").read_text(encoding="utf-8").split("\n")
+        idle, busy, aggregate = (line.split(",") for line in lines[1:4])
+        assert idle[3] == "0.0" and idle[5:] == ["", ""]
+        # the idle interval has weight 0, so the aggregate is the busy one's
+        assert [float(c) for c in aggregate[5:]] == pytest.approx(
+            [float(c) for c in busy[5:]], rel=1e-12)
+
 
 class TestOracleCommand:
     def test_fixture_json(self, small_config_path, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitq.model import ModelParams, ParameterError, single_interval
+from orbitq.model import ModelParams, ParameterError, Schedule, single_interval
 from orbitq.fluid import integrate_schedule, total_arrival_rate
 from orbitq.erlang import (
     MAX_LEVELS,
@@ -159,6 +159,26 @@ class TestPipeline:
         perf = psa_performance(sch, rates, tau=0.5)
         expected = np.trapezoid(rates.total, traj.grid) / 60.0
         assert perf.intervals[0].lambda_mean == pytest.approx(expected, rel=1e-12)
+
+    def test_idle_interval_has_no_sl_or_ap(self):
+        # lambda = 0 from the empty state: no inflow at all in interval 0
+        sch = Schedule(boundaries=(0.0, 30.0, 60.0), lambdas=(0.0, 40.0),
+                       agents=(148, 148), mu=0.25, theta=0.5, p=0.5, q=0.1,
+                       delta_rd=0.05, delta_rc=0.01)
+        traj = integrate_schedule(sch, grid_step=0.1)
+        perf = psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
+        idle, busy = perf.intervals
+        assert idle.lambda_mean == 0.0
+        assert idle.sl is None and idle.ap is None
+        # weight 0 in the aggregate
+        assert perf.sl == pytest.approx(busy.sl, rel=1e-12)
+        assert perf.ap == pytest.approx(busy.ap, rel=1e-12)
+
+    def test_all_idle_rejected(self):
+        sch = single_interval(OVERLOADED.with_interval(0.0, 2), 60.0)
+        traj = integrate_schedule(sch, grid_step=0.1)
+        with pytest.raises(ParameterError, match="all intervals have zero"):
+            psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
 
     def test_span_mismatch_rejected(self):
         sch = single_interval(OVERLOADED, 60.0)

@@ -247,9 +247,10 @@ class TestReference:
         traj = integrate_schedule(sch, grid_step=1.0)
         assert traj.values.min() >= 0.0
         # the Erlang-A step then sees no inflow at all in the idle interval,
-        # not a negative one, and reports what it reports for exact zeros
-        with pytest.raises(ParameterError, match="undefined for arrival_rate = 0"):
-            psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
+        # not a negative one, and reports it as idle
+        perf = psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
+        idle = perf.intervals[1]
+        assert idle.lambda_mean == 0.0 and idle.sl is None and idle.ap is None
 
     def test_zero_arrivals_from_empty_state_is_exact(self):
         params = FIXTURE.with_interval(0.0, 2)

@@ -1,4 +1,4 @@
-"""Discrete-event simulator: determinism, conservation, and aggregation."""
+"""Jump-chain simulator: determinism, conservation, transitions, aggregation."""
 
 import json
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from orbitq.model import ModelParams, ParameterError, Schedule, single_interval
 from orbitq.simulation import (
@@ -142,9 +143,49 @@ class TestDynamics:
             running[i] = False
             assert not running.any()
 
+    def test_abandoner_is_uniform_among_waiting(self):
+        # one agent kept busy for the whole run, so every caller behind it
+        # waits until its own Exp(theta) patience runs out: the waits of
+        # the abandoned are Exp(theta) only if the abandoner is picked
+        # uniformly among the waiting, not by queue position
+        params = ModelParams(lam=5.0, s=1, mu=1e-3, theta=1.0, p=0.0, q=0.0,
+                             delta_rd=0.5, delta_rc=0.5)
+        out = simulate_path(single_interval(params, 2000.0), seed=2024)
+        waits = out.rec_wait[out.rec_status == ABANDONED]
+        assert waits.size > 5000
+        se = waits.std(ddof=1) / math.sqrt(waits.size)
+        assert abs(waits.mean() - 1.0 / params.theta) <= 4.0 * se
+        exp_theta = stats.expon(scale=1.0 / params.theta)
+        assert stats.kstest(waits, exp_theta.cdf).pvalue > 1e-3
+
     def test_event_cap_raises(self):
         with pytest.raises(SimulationError, match="event budget"):
             simulate_path(fixture_schedule(1000.0), seed=1, max_events=50)
+
+
+class TestTransitions:
+    """n_events counts transitions: one per arrival, completion,
+    abandonment or orbit exit, and nothing else."""
+
+    @staticmethod
+    def assert_counts_transitions(out):
+        assert out.n_events == (out.pi_lam[-1] + out.d_s[-1] + out.d_a[-1]
+                                + out.d_rd[-1] + out.d_rc[-1])
+
+    def test_fixture(self):
+        self.assert_counts_transitions(simulate_path(fixture_schedule(), seed=17))
+
+    def test_staffing_drop_and_idle_interval(self):
+        sch = Schedule(boundaries=(0.0, 40.0, 80.0, 120.0),
+                       lambdas=(6.0, 0.0, 6.0), agents=(6, 1, 3),
+                       mu=0.1, theta=0.2, p=0.6, q=0.3,
+                       delta_rd=0.7, delta_rc=0.9)
+        out = simulate_path(sch, seed=17, initial=(3, 2, 2))
+        self.assert_counts_transitions(out)
+        # the idle interval still has moves: services, abandonments, exits
+        mid = (out.grid > 40.0) & (out.grid <= 80.0)
+        assert out.pi_lam[mid].min() == out.pi_lam[mid].max()
+        assert out.d_s[mid][-1] > out.d_s[mid][0]
 
 
 class TestSlAp:
@@ -238,3 +279,4 @@ class TestWriters:
         assert meta["rng"] == RNG_NAME
         assert meta["tau"] == 0.5
         assert "seed_derivation" in meta
+        assert meta["stream_version"] == 2
