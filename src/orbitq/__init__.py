@@ -12,7 +12,6 @@ from .model import (
     Schedule,
     Trajectory,
     load_config,
-    rho,
     rho_hat,
     single_interval,
     validate,
@@ -69,7 +68,6 @@ __all__ = [
     "Schedule",
     "Trajectory",
     "load_config",
-    "rho",
     "rho_hat",
     "single_interval",
     "validate",

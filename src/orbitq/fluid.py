@@ -10,9 +10,12 @@ The state z = (z_q, z_rd, z_rc) evolves by
 with lam and s piecewise constant over a staffing schedule. On each side
 of z_q = s the drift is affine, so the path is evaluated exactly on the
 output grid with matrix exponentials (Van Loan's augmented form), switching
-sides at the located crossing times. The expected total arrival rate
-lam + delta_rd*z_rd + delta_rc*z_rc along the solved path is what drives
-the Erlang-A step.
+sides at the located crossing times. The exponentials are scaling-and-
+squaring Padé approximants on numpy alone (Higham 2005). The powers of one
+grid step's exponential carry the state across a run of nodes in one
+product; only a step in which z_q may pass s is taken on its own. The
+expected total arrival rate lam + delta_rd*z_rd + delta_rc*z_rc along the
+solved path is what drives the Erlang-A step.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ from .model import (
 _MAX_NEWTON = 100
 # values, and Newton steps, below this fraction of their scale are rounding
 _RTOL = 1e-12
+# most grid steps one scan advances: it bounds the step powers and nodes
+# held at once (about 200 bytes a step) on a grid of any length
+_SCAN_STEPS = 4096
 
 
 class FluidIntegrationError(RuntimeError):
@@ -95,16 +101,60 @@ def drift(state: FluidState, lam: float, s: float, params: ModelParams) -> np.nd
     return np.array([dq, drd, drc])
 
 
+# Padé approximants r_m = (V - U)^-1 (V + U) of expm, with V the even and
+# U the odd part of the degree-m numerator b_0 + b_1 A + ... + b_m A^m,
+# and the 1-norm of A up to which each is accurate to double precision
+# (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4), table 2.3). The rows of
+# each b: b_0, b_2, ... over b_1, b_3, ...
+_PADE = [(theta, np.array(b, dtype=float).reshape(-1, 2).T) for theta, b in (
+    (1.495585217958292e-2, (120, 60, 12, 1)),
+    (2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
+    (9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1)),
+    (2.097847961257068, (17643225600, 8821612800, 2075673600, 302702400, 30270240,
+                         2162160, 110880, 3960, 90, 1)),
+    (5.371920351148152, (64764752532480000, 32382376266240000, 7771770303897600,
+                         1187353796428800, 129060195264000, 10559470521600,
+                         670442572800, 33522128640, 1323241920, 40840800, 960960,
+                         16380, 182, 1)),
+)]
+_EYE = np.eye(4)
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
-    # deferred: importing scipy.linalg adds about 0.1 s to every CLI start
-    from scipy.linalg import expm
+    """expm of a 4x4 generator [[A, c], [0, 0]] on numpy's ``@`` and
+    ``linalg.solve``: the lowest-degree Padé approximant accurate at its
+    norm, or the one of degree 13 after scaling by 2^-k, squared k times."""
     # Scaling the forcing column to the size of A by a power of two is an
-    # exact similarity. It spares scaling and squaring the squarings a large
-    # lam or s would add, and a path that truly overflows comes out as inf.
-    scale = np.ldexp(1.0, max(0, math.frexp(abs(a[:3, 3]).max())[1]
-                              - math.frexp(abs(a[:3, :3]).max())[1]))
-    out = expm(a / [1.0, 1.0, 1.0, scale])
+    # exact similarity. It spares the squarings a large lam or s would add,
+    # and a path that truly overflows comes out as inf.
+    rows = abs(a[:3]).tolist()
+    scale = np.ldexp(1.0, max(0, math.frexp(max(r[3] for r in rows))[1]
+                              - math.frexp(max(max(r[:3]) for r in rows))[1]))
+    cols = [sum(c) for c in zip(*rows)]
+    norm = max(*cols[:3], cols[3] / scale)
+    theta, b = next((p for p in _PADE if norm <= p[0]), _PADE[-1])
+    squarings = max(0, math.frexp(norm / theta)[1])
+    a = a * [1.0, 1.0, 1.0, 1.0 / scale] * 0.5 ** squarings
+    powers = [_EYE, a @ a]
+    while len(powers) < b.shape[1]:
+        powers.append(powers[-1] @ powers[1])
+    v, u = (b @ np.array(powers).reshape(-1, 16)).reshape(2, 4, 4)
+    u = a @ u
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        out = out @ out
     out[:3, 3] *= scale
+    return out
+
+
+def _powers(step: np.ndarray, count: int) -> np.ndarray:
+    """step^1 .. step^count as a (count, 4, 4) stack, by doubling: the rows
+    of step^1 .. step^m times step^m are those of step^(m+1) .. step^2m."""
+    out = step[None]
+    while len(out) < count:
+        m = len(out)
+        more = out[:count - m].reshape(-1, 4) @ out[-1]
+        out = np.concatenate([out, more.reshape(-1, 4, 4)])
     return out
 
 
@@ -148,6 +198,19 @@ def _root(row: np.ndarray, gen: np.ndarray, w: np.ndarray, span: float) -> float
     return t
 
 
+def _quiet(probes: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """For each step between consecutive states w in the rows of ``path``,
+    whether z_q provably does not pass s inside it: neither d1 nor d changes
+    sign beyond rounding, so z_q is monotone, and z_q ends at most rounding
+    past s. This is the common case, and ``_first_pass`` stops at once."""
+    f = path @ probes.T
+    tol = _RTOL * (abs(path) @ abs(probes).T)
+    fa, fb = f[:-1, 1:], f[1:, 1:]
+    flips = ((np.minimum(fa, fb) < 0) & (np.maximum(fa, fb) > 0)
+             & (np.minimum(abs(fa), abs(fb)) > tol[:-1, 1:] + tol[1:, 1:]))
+    return ~flips.any(axis=1) & (f[1:, 0] <= _RTOL * abs(probes[0, 3]))
+
+
 def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndarray,
                 span: float) -> tuple[float, np.ndarray] | None:
     """First (time, state) in (0, span] at which z_q on w(t) = expm(t gen) w
@@ -161,10 +224,10 @@ def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndar
     each of which a check at the end finds a pass.
     """
     times, states = [0.0, span], [w, end]
+    if _quiet(probes, np.stack(states))[0]:
+        return None
     values = [(probes @ w).tolist(), (probes @ end).tolist()]
     band = _RTOL * abs(probes[0][3])
-    if min(values[0][1] * values[1][1], values[0][2] * values[1][2]) >= 0 and values[1][0] <= band:
-        return None  # z_q monotone and not past s at the end: the common case
     for j in (2, 1):
         for i in range(len(times) - 1, 0, -1):
             fa, fb, wa, wb = values[i - 1][j], values[i][j], states[i - 1], states[i]
@@ -181,6 +244,11 @@ def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndar
     return None
 
 
+def _above(w: np.ndarray, s: int, drift_above: np.ndarray) -> int:
+    """1 where w lies above s, or on s with the drift above s pointing up."""
+    return int(w[0] > s or (w[0] == s and drift_above @ w > 0))
+
+
 # an overflowing state is reported by the finite check, not by warnings
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_schedule(
@@ -191,10 +259,11 @@ def integrate_schedule(
     """Exact fluid path sampled on ``schedule_grid(schedule, grid_step)``.
 
     One matrix exponential per (interval, side of z_q = s) carries the
-    state from node to node. Where z_q passes s inside a step, the crossing
-    is located by Newton steps on the exact solution, z_q is set to s there
-    and the step goes on from the other side; ``Trajectory.regime_switches``
-    counts these.
+    state over one grid step. Its powers, made by doubling, carry it over up
+    to ``_SCAN_STEPS`` nodes in one product, up to the first step in which
+    z_q may pass s. That step is taken alone: the crossing is located by
+    Newton steps on the exact solution, z_q is set to s there and the step
+    goes on from the other side; ``Trajectory.regime_switches`` counts these.
     """
     # shared grid constructor keeps time columns bit-identical with the
     # simulator's sampling grid at the same resolution
@@ -207,12 +276,27 @@ def integrate_schedule(
         h = (t1 - t0) / n
         regimes = _regimes(lam, s, schedule)
         steps = [_expm(h * gen) for gen, _ in regimes]
+        tables: list[np.ndarray | None] = [None, None]
         drift_above = regimes[1][0][0]
-        for _ in range(n):
+        stop = k + n
+        while k < stop:
+            # scan: the next nodes as powers of one side's step applied to w,
+            # kept up to the first step that may pass s or ends non-finite
+            above = _above(w, s, drift_above)
+            if tables[above] is None:
+                tables[above] = _powers(steps[above], min(n, _SCAN_STEPS))
+            run = (tables[above][:stop - k].reshape(-1, 4) @ w).reshape(-1, 4)
+            kept = np.isfinite(run).all(axis=1) & _quiet(regimes[above][1], np.vstack([w, run]))
+            j = len(run) if kept.all() else int(kept.argmin())
+            values[k + 1:k + 1 + j] = run[:j]
+            k += j
+            w = values[k]
+            if j == len(run):
+                continue
+            # that one step, with its passes of s located
             left = h
             while True:
-                # on s itself, the side the drift points to
-                above = bool(w[0] > s or (w[0] == s and drift_above @ w > 0))
+                above = _above(w, s, drift_above)
                 gen, probes = regimes[above]
                 nxt = (steps[above] if left == h else _expm(left * gen)) @ w
                 if not all(map(math.isfinite, nxt.tolist())):

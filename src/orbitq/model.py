@@ -86,17 +86,12 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
-def rho(params: ModelParams) -> float:
-    """Offered load from fresh arrivals alone: lam / (s mu)."""
-    return params.lam / (params.s * params.mu)
-
-
 def rho_hat(params: ModelParams) -> float:
     """Effective offered load including reconnect traffic: lam / ((1-q) s mu).
 
     A served caller returns with probability q, so each fresh arrival
-    generates 1/(1-q) expected service demands; rho_hat >= rho with
-    equality iff q = 0.
+    generates 1/(1-q) expected service demands; rho_hat >= lam / (s mu),
+    the load of fresh arrivals alone, with equality iff q = 0.
     """
     return params.lam / ((1.0 - params.q) * params.s * params.mu)
 

@@ -103,10 +103,6 @@ class SimOutput:
         return len(self.grid)
 
     @property
-    def n_attempts(self) -> int:
-        return len(self.rec_arrival)
-
-    @property
     def values(self) -> np.ndarray:
         """Grid samples as an (n, 3) float array, fluid-trajectory layout."""
         return np.column_stack([self.z_q, self.z_rd, self.z_rc]).astype(float)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .model import (
+    MAX_GRID_NODES,
     ModelParams,
     ParameterError,
     Schedule,
@@ -123,15 +124,23 @@ def refine_schedule(schedule: Schedule, block: float) -> Schedule:
     """Split intervals into equal pieces no longer than ``block``.
 
     Dynamics are unchanged (each piece keeps its interval's lam and s);
-    only the pointwise-stationary evaluation gets a finer partition.
+    only the pointwise-stationary evaluation gets a finer partition. The
+    pieces are counted before any is built: each needs a grid node, so
+    more than ``MAX_GRID_NODES`` of them are refused.
     """
     if block <= 0:
         raise ParameterError(f"block must be > 0, got {block}")
+    # the count is capped before rounding, so a tiny block cannot overflow it
+    counts = [max(1, math.ceil(min((t1 - t0) / block, MAX_GRID_NODES) - 1e-9))
+              for t0, t1, _, _ in schedule.intervals()]
+    if 1 + sum(counts) > MAX_GRID_NODES:
+        raise ParameterError(
+            f"block {block} splits the schedule into more pieces than the "
+            f"limit of {MAX_GRID_NODES} grid nodes allows")
     bounds = [0.0]
     lams: list[float] = []
     ags: list[int] = []
-    for t0, t1, lam, s in schedule.intervals():
-        pieces = max(1, math.ceil((t1 - t0) / block - 1e-9))
+    for (t0, t1, lam, s), pieces in zip(schedule.intervals(), counts):
         length = (t1 - t0) / pieces
         for i in range(1, pieces + 1):
             bounds.append(t1 if i == pieces else t0 + length * i)

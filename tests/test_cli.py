@@ -265,12 +265,13 @@ class TestErrors:
         (["validate", "--table", "single", "--rho-grid", "inf"], 2, 1),
         (["validate", "--table", "single", "--rho-grid", "nan"], 2, 1),
         (["erlang", "--block", "nan"], 2, 1),
+        (["erlang", "--block", "1e-300"], 2, 1),
         (["oracle", "--caps", "10,6,6"], 0, 0),
     ], ids=["fluid-grid-0", "erlang-grid-0", "validate-grid-0", "fluid-grid-nan",
             "fluid-grid-inf", "fluid-grid-tiny", "simulate-grid-tiny",
             "simulate-tau-negative", "simulate-tau-nan",
             "erlang-tau-inf", "validate-rho-inf", "validate-rho-nan",
-            "erlang-block-nan", "oracle-zero-arrivals"])
+            "erlang-block-nan", "erlang-block-tiny", "oracle-zero-arrivals"])
     def test_flag_values(self, tmp_path, capsys, argv, lam, code):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["intervals"][0]["lambda"] = lam

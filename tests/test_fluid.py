@@ -1,10 +1,19 @@
 """Exact fluid solve, closed-form stationary states, and arrival rates."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
+import orbitq
 from orbitq.model import (
     EMPTY_STATE,
     FluidState,
@@ -16,8 +25,11 @@ from orbitq.model import (
 )
 from orbitq.erlang import psa_performance
 from orbitq.fluid import (
+    _SCAN_STEPS,
     FluidIntegrationError,
     Regime,
+    _expm,
+    _regimes,
     drift,
     integrate_schedule,
     stationary_state,
@@ -230,6 +242,17 @@ class TestReference:
         assert_matches_reference(sch, FluidState(*z0), grid_step, floor=1e-7,
                                  max_step=min(grid_step, 1.0))
 
+    def test_crossing_after_the_scan_cap(self):
+        # z_q rises through s = 10 near t = 48, past the first scan of
+        # _SCAN_STEPS steps of 0.01 minutes
+        params = ModelParams(lam=0.55, s=10, mu=0.05, theta=0.5, p=0.5, q=0.0,
+                             delta_rd=0.05, delta_rc=0.01)
+        sch = single_interval(params, 60.0)
+        traj = integrate_schedule(sch, grid_step=0.01)
+        assert traj.regime_switches == 1
+        assert np.argmax(traj.z_q > params.s) > _SCAN_STEPS
+        assert_matches_reference(sch, grid_step=0.01, floor=1e-7)
+
     def test_overflowing_state_raises(self):
         # the true path tends to lam / (theta (1 - p)) = 4e308, past the
         # largest double
@@ -263,6 +286,50 @@ class TestReference:
                                   z0=FluidState(3.0, 1.0, 1.0), grid_step=0.1)
         assert traj.values[-1].max() < 3.0 * np.exp(-0.5 * 5.0) * 5
         assert np.all(np.diff(traj.z_q) <= 1e-12)
+
+
+class TestExpm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # sampled values make ties such as delta_rd = theta likely
+        rates=st.tuples(*[st.sampled_from([0.05, 0.5, 1.0]) | st.floats(0.01, 4.0)] * 4),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95),
+        q=st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95),
+        lam=st.just(0.0) | st.floats(0.01, 1e6),
+        s=st.integers(1, 10_000),
+        # 1-norm of the balanced exponent, 1e-6 .. 1e3
+        log_norm=st.floats(-6.0, 3.0),
+    )
+    def test_matches_scipy(self, rates, p, q, lam, s, log_norm):
+        mu, theta, d_rd, d_rc = rates
+        sch = SimpleNamespace(mu=mu, theta=theta, p=p, q=q, delta_rd=d_rd, delta_rc=d_rc)
+        for gen, _ in _regimes(lam, s, sch):
+            # the exact similarity that brings the forcing column to the
+            # size of A, by a power of two as in _expm
+            col = [1.0, 1.0, 1.0, 2.0 ** (math.frexp(abs(gen[:3, 3]).max())[1]
+                                       - math.frexp(abs(gen[:3, :3]).max())[1])]
+            m = gen * (10.0 ** log_norm / abs(gen / col).sum(axis=0).max())
+            ref = expm(m / col)
+            norm = abs(m / col).sum(axis=0).max()
+            gap = abs(_expm(m)[:3] / col - ref[:3]).sum(axis=0).max()
+            assert gap <= 1e-12 * max(1.0, norm) * abs(ref).sum(axis=0).max()
+
+
+def test_fluid_solve_imports_no_scipy_linalg():
+    # each scipy.linalg call can stall for milliseconds on a busy host, so
+    # a fluid solve, as the CLI runs it, must not even load that module
+    code = ("import sys; from orbitq.cli import integrate_schedule; "
+            "from orbitq.model import ModelParams, single_interval; "
+            "p = ModelParams(lam=40.0, s=148, mu=0.25, theta=0.5, p=0.5, q=0.1, "
+            "delta_rd=0.05, delta_rc=0.01); "
+            "assert integrate_schedule(single_interval(p, 60.0)).regime_switches == 1; "
+            "print('scipy.linalg' in sys.modules)")
+    src = str(Path(orbitq.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestRates:

@@ -15,7 +15,6 @@ from orbitq.model import (
     Trajectory,
     grid_steps,
     load_config,
-    rho,
     rho_hat,
     schedule_from_dict,
     schedule_grid,
@@ -86,7 +85,7 @@ class TestModelParams:
 
     def test_loads(self):
         p = small_params()
-        assert rho(p) == pytest.approx(1.0)
+        assert p.lam / (p.s * p.mu) == pytest.approx(1.0)
         assert rho_hat(p) == pytest.approx(2.0 / (0.8 * 2.0))
 
 

@@ -94,7 +94,7 @@ class TestDynamics:
     def test_zero_arrivals_empty_system(self):
         params = FIXTURE.with_interval(0.0, 2)
         out = simulate_path(single_interval(params, 50.0), seed=1)
-        assert out.n_attempts == 0
+        assert len(out.rec_arrival) == 0
         assert out.values.max() == 0.0
 
     def test_census_matches_record_outcomes(self):
@@ -257,7 +257,7 @@ class TestWriters:
         assert len(plines) == 1 + len(out.grid)
         assert plines[0].endswith("d_s,d_a,d_rd,d_rc")
         rlines = rpath.read_text(encoding="utf-8").strip().split("\n")
-        assert len(rlines) == 1 + out.n_attempts
+        assert len(rlines) == 1 + len(out.rec_arrival)
         assert rlines[0] == "arrival_time,class,outcome,wait"
         outcomes = {line.split(",")[2] for line in rlines[1:]}
         assert outcomes <= {"served", "abandoned", "censored"}

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from orbitq.model import ModelParams, ParameterError, Trajectory, single_interval
+from orbitq.model import (
+    MAX_GRID_NODES,
+    ModelParams,
+    ParameterError,
+    Trajectory,
+    single_interval,
+)
 from orbitq.fluid import integrate_schedule
 from orbitq.validation import (
     DEFAULT_RHO_GRID,
@@ -132,6 +138,14 @@ class TestScheduleBuilders:
         sch = single_interval(BASE.with_interval(40.0, 148), 100.0)
         with pytest.raises(ParameterError):
             refine_schedule(sch, 0.0)
+
+    # 480 / MAX_GRID_NODES asks for exactly one piece per node; 5e-324
+    # overflows the ratio to inf
+    @pytest.mark.parametrize("block", [480.0 / MAX_GRID_NODES, 1e-300, 5e-324])
+    def test_refine_refuses_more_pieces_than_grid_nodes(self, block):
+        sch = single_interval(BASE.with_interval(40.0, 148), 480.0)
+        with pytest.raises(ParameterError, match="limit"):
+            refine_schedule(sch, block)
 
 
 class TestTables:

@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent checkout and this one, as one BENCH file.
+
+Usage, from the repository root, with the parent commit unpacked apart:
+
+    git archive <parent> | tar -x -C ../parent
+    python3 tools/bench_pairs.py --parent ../parent --seed 23 --pairs 10
+
+For each workload in BENCHMARK.json it runs ``bench/run.py --trace 0`` in
+both checkouts, alternating which side runs first, then one ``--trace 1``
+run in each. It also times ``integrate_schedule`` on the
+``two-peak-week`` seed-1 config in both checkouts, on a quiet host and with
+a busy loop of its own on another core. It writes
+``BENCH_<date>_<sha>.json`` at the repository root: per metric, each
+side's median and quartiles (statistics.quantiles, n=4), every run's value
+and the pairs the change won, with the machine it ran on.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# times integrate_schedule in a fresh interpreter on the checkout given as
+# argv[1]; prints the list of wall times
+TIMER = """
+import json, sys, time
+sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/bench']
+from run import week_config
+from orbitq.fluid import integrate_schedule
+from orbitq.model import schedule_from_dict
+schedule = schedule_from_dict(week_config(1))
+integrate_schedule(schedule, grid_step=0.1)
+times = []
+for _ in range(int(sys.argv[2])):
+    t = time.perf_counter()
+    integrate_schedule(schedule, grid_step=0.1)
+    times.append(time.perf_counter() - t)
+print(json.dumps(times))
+"""
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, timeout=900)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def fluid_times(checkout: Path, repeats: int) -> list[float]:
+    done = subprocess.run([sys.executable, "-c", TIMER, str(checkout), str(repeats)],
+                          capture_output=True, text=True, timeout=600, check=True)
+    return json.loads(done.stdout)
+
+
+def integrate_figures(sides: dict[str, Path], repeats: int) -> dict:
+    """Median integrate_schedule time per side, quiet and beside a busy loop."""
+    out = {side: {"quiet_s": statistics.median(fluid_times(path, repeats))}
+           for side, path in sides.items()}
+    busy = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+    try:
+        time.sleep(1.0)
+        for side, path in sides.items():
+            out[side]["busy_s"] = statistics.median(fluid_times(path, repeats))
+    finally:
+        busy.kill()
+        busy.wait()
+    for figures in out.values():
+        figures["busy_over_quiet"] = figures["busy_s"] / figures["quiet_s"]
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--seed", type=int, default=23)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--repeats", type=int, default=9)
+    args = parser.parse_args()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    sha = git("rev-parse", "--short", "HEAD")
+    load = os.getloadavg()
+
+    workloads = {}
+    for workload in (w["name"] for w in declared["workloads"]):
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(bench_run(sides[side], workload, args.seed,
+                                            declared["run_seconds"], 0))
+                print(f"{workload} pair {i} {side} done", flush=True)
+        metrics = {}
+        for name in runs["parent"][0]["metrics"]:
+            value = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
+            metrics[name] = {**{side: spread(v) for side, v in value.items()},
+                             "change_wins": sum(c < p for p, c in zip(value["parent"],
+                                                                       value["change"]))}
+        traced = {side: bench_run(path, workload, args.seed, declared["run_seconds"], 1)
+                  for side, path in sides.items()}
+        workloads[workload] = {
+            "metrics": metrics,
+            "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+            "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+            "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
+            "traced_run": traced,
+        }
+
+    report = {
+        "head": sha,
+        # uncommitted changes under src/: the change measured is the working
+        # tree on top of head, not head itself
+        "dirty": bool(git("status", "--porcelain", "--", "src")),
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "run_seconds": declared["run_seconds"],
+        "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                "numpy": numpy.__version__, "scipy": scipy.__version__,
+                "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                "loadavg_at_start": load},
+        "integrate_schedule_two_peak_week_seed1": integrate_figures(sides, args.repeats),
+        "workloads": workloads,
+    }
+    date = datetime.date.today().isoformat()
+    path = ROOT / f"BENCH_{date}_{sha}.json"
+    path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
