@@ -39,7 +39,6 @@ from .erlang import (
     ErlangAInput,
     IntervalPerformance,
     PerformanceSummary,
-    TruncationError,
     abandonment_prob,
     psa_performance,
     service_level,
@@ -92,7 +91,6 @@ __all__ = [
     "ErlangAInput",
     "IntervalPerformance",
     "PerformanceSummary",
-    "TruncationError",
     "abandonment_prob",
     "psa_performance",
     "service_level",

@@ -24,7 +24,7 @@ from .fluid import (
     write_trajectory_csv,
 )
 from .ctmc import CTMCError, build_chain, solve_stationary, write_fixture_json
-from .erlang import TruncationError, psa_performance, write_performance_csv
+from .erlang import psa_performance, write_performance_csv
 from .simulation import (
     SimulationError,
     run_replications,
@@ -50,7 +50,6 @@ _HANDLED = (
     ValueError,
     FluidIntegrationError,
     CTMCError,
-    TruncationError,
     SimulationError,
     OSError,
 )

@@ -132,8 +132,13 @@ class Schedule:
                 f"expected {self.m} per-interval values, got "
                 f"{len(self.lambdas)} lambdas and {len(self.agents)} agent counts"
             )
-        for i in range(self.m):
-            validate(self.params_for(i))
+        # each distinct (lam, s) once, in order; typed, as 148 == 148.0
+        seen = set()
+        for i, (lam, s) in enumerate(zip(self.lambdas, self.agents)):
+            key = (type(lam), lam, type(s), s)
+            if key not in seen:
+                seen.add(key)
+                validate(self.params_for(i))
 
     @property
     def m(self) -> int:
@@ -184,7 +189,7 @@ class Schedule:
                    self.lambdas[i], self.agents[i])
 
 
-# most nodes schedule_grid builds, as ctmc.MAX_STATES and erlang.MAX_LEVELS
+# most nodes schedule_grid builds, the same limit as ctmc.MAX_STATES
 MAX_GRID_NODES = 10_000_000
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, determinism, and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,24 @@ class TestErlangCommand:
         assert [float(c) for c in aggregate[5:]] == pytest.approx(
             [float(c) for c in busy[5:]], rel=1e-12)
 
+    @pytest.mark.parametrize("change", [
+        # patience of 1e9 minutes: about 3e9 callers wait, beyond any truncation
+        {"theta": 1e-9},
+        # 1e5 arrivals per minute against s mu = 37
+        {"intervals": [{"t_start": 0, "t_end": 480, "lambda": 1e5, "s": 148}]},
+    ], ids=["theta-1e-9", "lambda-1e5"])
+    def test_erlang_extreme_load_is_exact(self, tmp_path, capsys, change):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(dict(CONFIG, **change)), encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["erlang", "--config", str(path), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        lines = (out / "performance.csv").read_text(encoding="utf-8").splitlines()
+        for row in lines[1:]:
+            sl, ap = (float(c) for c in row.split(",")[5:7])
+            assert math.isfinite(sl) and 0.0 <= sl <= 1.0
+            assert math.isfinite(ap) and 0.0 <= ap <= 1.0
+
 
 class TestOracleCommand:
     def test_fixture_json(self, small_config_path, tmp_path):
@@ -235,14 +254,17 @@ class TestErrors:
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     def test_unbounded_erlang_truncation_rejected(self, tmp_path, capsys):
-        cfg = dict(CONFIG, theta=1e-9)
+        # with p = q = 0 the total rate is lambda, just below s mu = 37; at
+        # theta = 1e-13 the Erlang-A series would run past MAX_TERMS terms
+        cfg = dict(CONFIG, theta=1e-13, p=0.0, q=0.0, intervals=[
+            {"t_start": 0, "t_end": 480, "lambda": 37.0 - 1e-9, "s": 148}])
         path = tmp_path / "slow.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
-        code = main(["erlang", "--config", str(path), "--out", str(tmp_path / "o"),
-                     "--step", "0.1", "--grid", "0.1"])
+        code = main(["erlang", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "exceeds the limit" in err[0]
+        assert len(err) == 1 and "exceeds 16777216 terms" in err[0]
+        assert not (tmp_path / "o" / "performance.csv").exists()
 
     def test_grid_not_a_multiple_of_step(self, small_config_path, tmp_path, capsys):
         code = main(["validate", "--config", small_config_path, "--out",

@@ -107,6 +107,17 @@ class TestSchedule:
             Schedule(boundaries=(0.0, 10.0), lambdas=(1.0, 2.0), agents=(1,),
                      mu=1.0, theta=1.0, p=0.0, q=0.0, delta_rd=1.0, delta_rc=1.0)
 
+    @pytest.mark.parametrize("lambdas,agents,match", [
+        ((1.0, -1.0, -2.0), (1, 1, 1), "got -1.0"),
+        # 2.0 == 2 and hashes alike, yet only the int is an agent count
+        ((1.0, 1.0), (2, 2.0), "s must be an integer"),
+    ])
+    def test_first_bad_interval_named(self, lambdas, agents, match):
+        bounds = tuple(10.0 * i for i in range(len(lambdas) + 1))
+        with pytest.raises(ParameterError, match=match):
+            Schedule(boundaries=bounds, lambdas=lambdas, agents=agents,
+                     mu=1.0, theta=1.0, p=0.0, q=0.0, delta_rd=1.0, delta_rc=1.0)
+
     def test_interval_index_right_continuous(self):
         sch = Schedule(boundaries=(0.0, 10.0, 30.0), lambdas=(1.0, 2.0),
                        agents=(1, 2), mu=1.0, theta=1.0, p=0.0, q=0.0,

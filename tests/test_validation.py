@@ -134,6 +134,14 @@ class TestScheduleBuilders:
         assert np.array_equal(a.grid, b.grid)
         assert np.allclose(a.values, b.values, rtol=1e-14, atol=1e-12)
 
+    def test_refine_validates_each_distinct_interval_once(self, monkeypatch):
+        sch = single_interval(BASE.with_interval(40.0, 148), 480.0)
+        calls = []
+        monkeypatch.setattr("orbitq.model.validate",
+                            lambda params: calls.append(params) or params)
+        assert refine_schedule(sch, 1.0).m == 480
+        assert calls == [sch.params_for(0)]
+
     def test_refine_rejects_bad_block(self):
         sch = single_interval(BASE.with_interval(40.0, 148), 100.0)
         with pytest.raises(ParameterError):
