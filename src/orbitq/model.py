@@ -189,7 +189,7 @@ class Schedule:
                    self.lambdas[i], self.agents[i])
 
 
-# most nodes schedule_grid builds, the same limit as ctmc.MAX_STATES
+# most nodes schedule_grid builds; one float64 array over them is 80 MB
 MAX_GRID_NODES = 10_000_000
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.sparse.linalg import spsolve
 
 from orbitq.model import ModelParams, ParameterError
 from orbitq.ctmc import (
+    MAX_STATES,
     CTMCError,
     build_chain,
     embed_pi,
@@ -19,6 +21,9 @@ from orbitq.ctmc import (
 
 FIXTURE = ModelParams(lam=2.0, s=2, mu=1.0, theta=1.0, p=0.3, q=0.2,
                       delta_rd=0.5, delta_rc=0.5)
+# heavy enough that a small box's half box cuts off real mass
+HEAVY = ModelParams(lam=3.0, s=2, mu=1.0, theta=0.3, p=0.6, q=0.3,
+                    delta_rd=0.2, delta_rc=0.3)
 
 
 def lu_reference(chain):
@@ -64,6 +69,20 @@ class TestBuildChain:
     def test_state_space_limit(self):
         with pytest.raises(ParameterError, match="exceeds"):
             build_chain(FIXTURE, (1000, 1000, 1000))
+
+    def test_limit_refused_before_allocation(self):
+        # 201 * 101 * 100 = 2,030,100 states, just above the limit; building
+        # them would take about 1.4 GB, so refusing must allocate nothing
+        caps = (200, 100, 99)
+        assert 201 * 101 * 100 > MAX_STATES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="exceeds"):
+                build_chain(FIXTURE, caps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSolve:
@@ -115,6 +134,49 @@ class TestSolve:
         assert np.abs(cold.pi - warm.pi).max() < 1e-9
 
 
+class TestCascade:
+    def test_heavy_config_matches_lu(self):
+        chain = build_chain(HEAVY, (16, 12, 12))
+        half = solve_stationary(build_chain(HEAVY, (8, 6, 6)))
+        assert half.redirected_fraction > 1e-3
+        sol = solve_stationary(chain)
+        assert np.abs(lu_reference(chain) - sol.pi).max() < 1e-9
+
+    def test_sweeps_on_the_box_bounded(self):
+        # a cold start needs 600 sweeps here
+        sol = solve_stationary(build_chain(FIXTURE, (30, 20, 20)))
+        assert sol.iterations <= 200
+
+    def test_explicit_x0_skips_cascade(self):
+        chain = build_chain(FIXTURE, (30, 20, 20))
+        sol = solve_stationary(chain, x0=np.ones(chain.n_states))
+        assert sol.iterations == 600
+
+
+class TestSolveInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0(self, bad):
+        chain = build_chain(FIXTURE, (6, 4, 4))
+        x0 = np.ones(chain.n_states)
+        x0[3] = bad
+        with pytest.raises(CTMCError, match="x0"):
+            solve_stationary(chain, x0=x0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+    def test_tol_finite_and_positive(self, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            solve_stationary(build_chain(FIXTURE, (6, 4, 4)), tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_at_least_one(self, max_iter):
+        with pytest.raises(ParameterError, match="max_iter"):
+            solve_stationary(build_chain(FIXTURE, (6, 4, 4)), max_iter=max_iter)
+
+    def test_one_sweep_budget_reports_residual(self):
+        with pytest.raises(CTMCError, match="no convergence after 1 iterations"):
+            solve_stationary(build_chain(FIXTURE, (6, 4, 4)), max_iter=1)
+
+
 class TestEmbedAndExport:
     def test_embed_preserves_mass_layout(self):
         chain = build_chain(FIXTURE, (4, 2, 2))
@@ -140,3 +202,4 @@ class TestEmbedAndExport:
         assert data["n_states"] == 7 * 5 * 5
         assert data["moments"]["e_zq"] == pytest.approx(sol.e_zq)
         assert data["method"] == "power"
+        assert data["iterations"] == sol.iterations > 0

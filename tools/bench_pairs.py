@@ -13,7 +13,10 @@ run in each. It also times ``integrate_schedule`` on the
 a busy loop of its own on another core. It writes
 ``BENCH_<date>_<sha>.json`` at the repository root: per metric, each
 side's median and quartiles (statistics.quantiles, n=4), every run's value
-and the pairs the change won, with the machine it ran on.
+and the pairs the change won, with the machine it ran on. A run whose
+artifacts fail their checks (``correct: false``) is counted under
+``incorrect_runs`` and left out of the medians and the pair count; a run
+that gives no JSON result at all stops the tool with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -58,23 +61,46 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, timeout=900)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+def last_json(cmd: list[str], cwd: Path | None, what: str, timeout: int):
+    """The JSON value on the last stdout line of ``cmd``, or exit with one line.
+
+    A run that times out, prints nothing or ends in a line that is not JSON
+    stops the whole tool: the line names ``what`` and quotes the run's exit
+    status and the tail of its stderr.
+    """
+    try:
+        done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        sys.exit(f"error: {what}: no result after {timeout} s")
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        tail = " | ".join(done.stderr.strip().splitlines()[-3:]) or "no stderr"
+        sys.exit(f"error: {what}: exit {done.returncode}, no JSON result; "
+                 f"stderr: {tail}")
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: int, trace: int,
+              what: str) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    return last_json(cmd, checkout, what, 900)
 
 
 def spread(values: list[float]) -> dict:
+    # quartiles need two values; fewer correct runs leave them unset
+    if len(values) < 2:
+        return {"median": values[0] if values else None, "q1": None, "q3": None,
+                "runs": values}
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
 def fluid_times(checkout: Path, repeats: int) -> list[float]:
-    done = subprocess.run([sys.executable, "-c", TIMER, str(checkout), str(repeats)],
-                          capture_output=True, text=True, timeout=600, check=True)
-    return json.loads(done.stdout)
+    return last_json([sys.executable, "-c", TIMER, str(checkout), str(repeats)],
+                     None, f"integrate_schedule timing in {checkout}", 600)
 
 
 def integrate_figures(sides: dict[str, Path], repeats: int) -> dict:
@@ -101,6 +127,8 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2 to give quartiles, got {args.pairs}")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     sha = git("rev-parse", "--short", "HEAD")
@@ -112,19 +140,30 @@ def main() -> int:
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[side].append(bench_run(sides[side], workload, args.seed,
-                                            declared["run_seconds"], 0))
+                                            declared["run_seconds"], 0,
+                                            f"{workload} pair {i} {side}"))
                 print(f"{workload} pair {i} {side} done", flush=True)
+        # a run whose artifacts failed their checks is a failure, not a sample
+        good = {side: [r for r in rs if r["correct"]] for side, rs in runs.items()}
+        both = [(p, c) for p, c in zip(runs["parent"], runs["change"])
+                if p["correct"] and c["correct"]]
         metrics = {}
         for name in runs["parent"][0]["metrics"]:
-            value = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
-            metrics[name] = {**{side: spread(v) for side, v in value.items()},
-                             "change_wins": sum(c < p for p, c in zip(value["parent"],
-                                                                       value["change"]))}
-        traced = {side: bench_run(path, workload, args.seed, declared["run_seconds"], 1)
+            metrics[name] = {
+                **{side: spread([r["metrics"][name]["value"] for r in rs])
+                   for side, rs in good.items()},
+                "change_wins": sum(c["metrics"][name]["value"] < p["metrics"][name]["value"]
+                                   for p, c in both),
+                "pairs_compared": len(both),
+            }
+        traced = {side: bench_run(path, workload, args.seed, declared["run_seconds"], 1,
+                                  f"{workload} traced {side}")
                   for side, path in sides.items()}
         workloads[workload] = {
             "metrics": metrics,
             "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+            "incorrect_runs": {side: sum(not r["correct"] for r in rs)
+                               for side, rs in runs.items()},
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
             "traced_run": traced,
@@ -138,7 +177,7 @@ def main() -> int:
         "seed": args.seed,
         "pairs": args.pairs,
         "run_seconds": declared["run_seconds"],
-        "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
+        "env": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                 "numpy": numpy.__version__, "scipy": scipy.__version__,
                 "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
                 "loadavg_at_start": load},
