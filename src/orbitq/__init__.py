@@ -22,6 +22,7 @@ from .fluid import (
     RateDecomposition,
     drift,
     integrate_schedule,
+    interval_arrival_rates,
     stationary_state,
     total_arrival_rate,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "RateDecomposition",
     "drift",
     "integrate_schedule",
+    "interval_arrival_rates",
     "stationary_state",
     "total_arrival_rate",
     "TruncatedChain",

@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 
 from .artifacts import write_json
-from .model import ParameterError, load_config
+from .model import ParameterError, check_tau, load_config
+# bench/tracing.py patches total_arrival_rate here by name, so the import
+# stays although no command calls it from this module
 from .fluid import (
     FluidIntegrationError,
     integrate_schedule,
@@ -137,9 +139,7 @@ def cmd_erlang(args) -> int:
     if args.block > 0:
         schedule = refine_schedule(schedule, args.block)
     out = _out_dir(args)
-    traj = integrate_schedule(schedule, grid_step=args.grid)
-    perf = psa_performance(schedule, total_arrival_rate(traj, schedule),
-                           tau=args.tau)
+    perf = psa_performance(schedule, tau=args.tau)
     _done(_atomic(out / "performance.csv",
                   lambda p: write_performance_csv(p, perf)))
     return 0
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignored: the fluid path is exact on the --grid "
                             "nodes; accepted so older command lines still run")
         p.add_argument("--grid", type=float, default=0.1,
-                       help="output grid spacing in minutes (default 0.1)")
+                       help="output grid spacing in minutes (default 0.1; unused by erlang)")
         p.add_argument("--seed", type=int, default=424242,
                        help="base RNG seed (default 424242)")
         p.add_argument("--reps", type=int, default=reps_default,
@@ -257,9 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_common(args) -> None:
+    """Refuse a shared flag value no subcommand can use, before any work."""
+    for flag in ("grid", "step"):
+        value = getattr(args, flag)
+        if not 0 < value < math.inf:
+            raise ParameterError(f"--{flag} must be finite and > 0, got {value}")
+    check_tau(args.tau)
+    if args.reps < 1:
+        raise ParameterError(f"--reps must be >= 1, got {args.reps}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_common(args)
         return args.func(args)
     except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""M/M/s+M (Erlang-A) formulas driven by the fluid total arrival rate.
+"""M/M/s+M (Erlang-A) formulas, fed each interval's exact mean fluid arrival rate.
 
 Closed forms in the regularised incomplete gamma functions P and Q
 (Riordan 1962; Garnett, Mandelbaum & Reiman 2002). With x = s*mu/theta,
@@ -22,7 +22,7 @@ from scipy.special import gammainc, gammaincc, gammaln
 
 from .artifacts import write_csv
 from .model import ParameterError, Schedule, check_tau
-from .fluid import RateDecomposition
+from .fluid import interval_arrival_rates
 
 
 @dataclass(frozen=True)
@@ -201,40 +201,19 @@ class PerformanceSummary:
         return total / span
 
 
-def psa_performance(
-    schedule: Schedule,
-    fluid_rates: RateDecomposition,
-    tau: float,
-) -> PerformanceSummary:
-    """Pointwise-stationary Erlang-A over the schedule.
+def psa_performance(schedule: Schedule, tau: float) -> PerformanceSummary:
+    """Pointwise-stationary Erlang-A over the schedule, from the empty state.
 
-    Interval i gets the time-average total rate: the fresh component is
-    the interval's own lambda (exact, avoiding the right-continuous jump
-    at boundaries), the orbit components are trapezoid averages of the
-    fluid decomposition. SL/AP per interval come from the stationary
-    formulas at (Lambda_i, s_i); an idle interval (Lambda_i = 0) has no
-    SL or AP, so both are None. The aggregate weights intervals by
-    expected arrivals Lambda_i * length.
+    Interval i gets its mean total arrival rate Lambda_i, exact from
+    :func:`orbitq.fluid.interval_arrival_rates`, so no output grid is
+    involved. SL/AP per interval come from the stationary formulas at
+    (Lambda_i, s_i); an idle interval (Lambda_i = 0) has no SL or AP, so
+    both are None. The aggregate weights intervals by expected arrivals
+    Lambda_i * length.
     """
-    times = fluid_rates.t
-    if times.size == 0:
-        raise ParameterError("fluid_rates is empty")
-    orbit = fluid_rates.redial + fluid_rates.reconnect
-    if times[0] > 1e-9 or times[-1] < schedule.horizon - 1e-9:
-        raise ParameterError(
-            f"fluid_rates span [{times[0]}, {times[-1]}] does not cover "
-            f"the schedule span [0, {schedule.horizon}]"
-        )
-
     rows = []
-    for i, (t0, t1, lam, s) in enumerate(schedule.intervals()):
-        sel = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
-        tt = times[sel]
-        if len(tt) < 2:
-            raise ParameterError(
-                f"fluid_rates has fewer than 2 nodes in interval [{t0}, {t1})"
-            )
-        lam_i = float(lam + np.trapezoid(orbit[sel], tt) / (t1 - t0))
+    for i, ((t0, t1, _, s), lam_i) in enumerate(
+            zip(schedule.intervals(), interval_arrival_rates(schedule).tolist())):
         sl = ap = None
         if lam_i > 0:
             inp = ErlangAInput(arrival_rate=lam_i, s=s, mu=schedule.mu,

@@ -8,14 +8,14 @@ The state z = (z_q, z_rd, z_rc) evolves by
     dz_rc/dt = q*mu*min(s, z_q) - delta_rc*z_rc
 
 with lam and s piecewise constant over a staffing schedule. On each side
-of z_q = s the drift is affine, so the path is evaluated exactly on the
-output grid with matrix exponentials (Van Loan's augmented form), switching
-sides at the located crossing times. The exponentials are scaling-and-
-squaring Padé approximants on numpy alone (Higham 2005). The powers of one
-grid step's exponential carry the state across a run of nodes in one
-product; only a step in which z_q may pass s is taken on its own. The
-expected total arrival rate lam + delta_rd*z_rd + delta_rc*z_rc along the
-solved path is what drives the Erlang-A step.
+of z_q = s the drift is affine, so the path is evaluated exactly with
+matrix exponentials (Van Loan's augmented form), switching sides at the
+located crossing times; the exponentials are scaling-and-squaring Padé
+approximants on numpy alone (Higham 2005). The powers of one step's
+exponential carry the state across a run of grid nodes in one product.
+The same loop, at one step per interval, gives each interval's mean total
+arrival rate lam + delta_rd*z_rd + delta_rc*z_rc exactly, from one more
+component that integrates the orbit part; that drives the Erlang-A step.
 """
 
 from __future__ import annotations
@@ -117,85 +117,90 @@ _PADE = [(theta, np.array(b, dtype=float).reshape(-1, 2).T) for theta, b in (
                          670442572800, 33522128640, 1323241920, 40840800, 960960,
                          16380, 182, 1)),
 )]
-_EYE = np.eye(4)
+_EYE = np.eye(5)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """expm of a 4x4 generator [[A, c], [0, 0]] on numpy's ``@`` and
+    """expm of an n x n generator [[B, c], [0, 0]] on numpy's ``@`` and
     ``linalg.solve``: the lowest-degree Padé approximant accurate at its
     norm, or the one of degree 13 after scaling by 2^-k, squared k times."""
-    # Scaling the forcing column to the size of A by a power of two is an
+    # Scaling the forcing column c to the size of B by a power of two is an
     # exact similarity. It spares the squarings a large lam or s would add,
     # and a path that truly overflows comes out as inf.
-    rows = abs(a[:3]).tolist()
-    scale = np.ldexp(1.0, max(0, math.frexp(max(r[3] for r in rows))[1]
-                              - math.frexp(max(max(r[:3]) for r in rows))[1]))
+    rows = abs(a[:-1]).tolist()
+    scale = np.ldexp(1.0, max(0, math.frexp(max(r[-1] for r in rows))[1]
+                              - math.frexp(max(max(r[:-1]) for r in rows))[1]))
     cols = [sum(c) for c in zip(*rows)]
-    norm = max(*cols[:3], cols[3] / scale)
+    norm = max(*cols[:-1], cols[-1] / scale)
     theta, b = next((p for p in _PADE if norm <= p[0]), _PADE[-1])
     squarings = max(0, math.frexp(norm / theta)[1])
-    a = a * [1.0, 1.0, 1.0, 1.0 / scale] * 0.5 ** squarings
-    powers = [_EYE, a @ a]
+    a = a * 0.5 ** squarings
+    a[:, -1] /= scale
+    powers = [_EYE[:len(a), :len(a)], a @ a]
     while len(powers) < b.shape[1]:
         powers.append(powers[-1] @ powers[1])
-    v, u = (b @ np.array(powers).reshape(-1, 16)).reshape(2, 4, 4)
+    v, u = (b @ np.array(powers).reshape(-1, a.size)).reshape(2, *a.shape)
     u = a @ u
     out = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
         out = out @ out
-    out[:3, 3] *= scale
+    out[:-1, -1] *= scale
     return out
 
 
 def _powers(step: np.ndarray, count: int) -> np.ndarray:
-    """step^1 .. step^count as a (count, 4, 4) stack, by doubling: the rows
+    """step^1 .. step^count as a (count, n, n) stack, by doubling: the rows
     of step^1 .. step^m times step^m are those of step^(m+1) .. step^2m."""
     out = step[None]
     while len(out) < count:
         m = len(out)
-        more = out[:count - m].reshape(-1, 4) @ out[-1]
-        out = np.concatenate([out, more.reshape(-1, 4, 4)])
+        more = out[:count - m].reshape(-1, len(step)) @ out[-1]
+        out = np.concatenate([out, more.reshape(-1, *step.shape)])
     return out
 
 
 def _regimes(lam: float, s: int, schedule: Schedule) -> list[tuple[np.ndarray, np.ndarray]]:
     """(M, probes) below and above z_q = s.
 
-    M = [[A, c], [0, 0]] generates the affine drift z' = A z + c: with
-    w = (z, 1), w(t) = expm(t M) w(0). The three probe rows give, on w,
-    z_q - s signed to be positive past s, z_q's drift d, and d' - r d, with
-    r the eigenvalue of the orbit that decouples (z_rd below s, z_rc above).
+    M generates z' = A z + c and the orbit rate's integral y' = dᵀz: with
+    w = (z, y, 1), w(t) = expm(t M) w(0). The probe rows give, on w, z_q - s
+    signed to be positive past s, z_q's drift d, and d' - r d, with r the
+    eigenvalue of the orbit that decouples (z_rd below s, z_rc above).
     """
     mu, theta, p, q = schedule.mu, schedule.theta, schedule.p, schedule.q
     d_rd, d_rc = schedule.delta_rd, schedule.delta_rc
-    below = np.array([[-mu, d_rd, d_rc, lam],
-                      [0.0, -d_rd, 0.0, 0.0],
-                      [q * mu, 0.0, -d_rc, 0.0],
-                      [0.0, 0.0, 0.0, 0.0]])
-    above = np.array([[-theta, d_rd, d_rc, lam - mu * s + theta * s],
-                      [p * theta, -d_rd, 0.0, -p * theta * s],
-                      [0.0, 0.0, -d_rc, q * mu * s],
-                      [0.0, 0.0, 0.0, 0.0]])
-    return [(m, np.array([[sign, 0.0, 0.0, -sign * s], m[0], m[0] @ m - r * m[0]]))
+    below = np.array([[-mu, d_rd, d_rc, 0.0, lam],
+                      [0.0, -d_rd, 0.0, 0.0, 0.0],
+                      [q * mu, 0.0, -d_rc, 0.0, 0.0],
+                      [0.0, d_rd, d_rc, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0]])
+    above = np.array([[-theta, d_rd, d_rc, 0.0, lam - mu * s + theta * s],
+                      [p * theta, -d_rd, 0.0, 0.0, -p * theta * s],
+                      [0.0, 0.0, -d_rc, 0.0, q * mu * s],
+                      [0.0, d_rd, d_rc, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0]])
+    return [(m, np.array([[sign, 0.0, 0.0, 0.0, -sign * s], m[0], m[0] @ m - r * m[0]]))
             for m, sign, r in ((below, 1.0, -d_rd), (above, -1.0, -d_rc))]
 
 
-def _root(row: np.ndarray, gen: np.ndarray, w: np.ndarray, span: float) -> float:
-    """Where f(t) = row @ expm(t gen) w, negative or 0 at 0 and positive at
-    ``span``, changes sign: Newton steps on f' = row @ gen @ expm(t gen) w,
+def _root(row: np.ndarray, gen: np.ndarray, w: np.ndarray,
+          span: float) -> tuple[float, np.ndarray]:
+    """(t, expm(t gen) w) where f(t) = row @ expm(t gen) w, <= 0 at 0 and > 0
+    at ``span``, changes sign: Newton steps on f' = row @ gen @ expm(t gen) w,
     halving the bracket instead where a step would leave it."""
     lo, hi, t, slope = 0.0, span, 0.5 * span, row @ gen
     for _ in range(_MAX_NEWTON):
         wt = _expm(t * gen) @ w
         f = row @ wt
         if abs(f) <= _RTOL * (abs(row) @ abs(wt)):
-            return t
+            return t, wt
         lo, hi = (lo, t) if f > 0 else (t, hi)
         step = f / df if (df := slope @ wt) else math.inf
         if abs(step) <= _RTOL * span:
-            return min(max(t - step, lo), hi)
+            t = min(max(t - step, lo), hi)
+            return t, _expm(t * gen) @ w
         t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-    return t
+    return t, _expm(t * gen) @ w
 
 
 def _quiet(probes: np.ndarray, path: np.ndarray) -> np.ndarray:
@@ -208,7 +213,7 @@ def _quiet(probes: np.ndarray, path: np.ndarray) -> np.ndarray:
     fa, fb = f[:-1, 1:], f[1:, 1:]
     flips = ((np.minimum(fa, fb) < 0) & (np.maximum(fa, fb) > 0)
              & (np.minimum(abs(fa), abs(fb)) > tol[:-1, 1:] + tol[1:, 1:]))
-    return ~flips.any(axis=1) & (f[1:, 0] <= _RTOL * abs(probes[0, 3]))
+    return ~flips.any(axis=1) & (f[1:, 0] <= _RTOL * abs(probes[0, -1]))
 
 
 def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndarray,
@@ -227,20 +232,21 @@ def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndar
     if _quiet(probes, np.stack(states))[0]:
         return None
     values = [(probes @ w).tolist(), (probes @ end).tolist()]
-    band = _RTOL * abs(probes[0][3])
+    band = _RTOL * abs(probes[0][-1])
     for j in (2, 1):
         for i in range(len(times) - 1, 0, -1):
             fa, fb, wa, wb = values[i - 1][j], values[i][j], states[i - 1], states[i]
             if (fa < 0 < fb or fb < 0 < fa) and min(abs(fa), abs(fb)) > (
                     _RTOL * (abs(probes[j]) @ (abs(wa) + abs(wb)))):
-                tau = _root(probes[j] if fb > 0 else -probes[j], gen, wa, times[i] - times[i - 1])
-                states.insert(i, _expm(tau * gen) @ wa)
+                tau, state = _root(probes[j] if fb > 0 else -probes[j], gen, wa,
+                                   times[i] - times[i - 1])
+                states.insert(i, state)
                 times.insert(i, times[i - 1] + tau)
                 values.insert(i, (probes @ states[i]).tolist())
     for i in range(1, len(times)):
         if values[i][0] > band:
-            tau = _root(probes[0], gen, states[i - 1], times[i] - times[i - 1])
-            return times[i - 1] + tau, _expm(tau * gen) @ states[i - 1]
+            tau, state = _root(probes[0], gen, states[i - 1], times[i] - times[i - 1])
+            return times[i - 1] + tau, state
     return None
 
 
@@ -251,31 +257,24 @@ def _above(w: np.ndarray, s: int, drift_above: np.ndarray) -> int:
 
 # an overflowing state is reported by the finite check, not by warnings
 @np.errstate(over="ignore", invalid="ignore")
-def integrate_schedule(
-    schedule: Schedule,
-    z0: FluidState = EMPTY_STATE,
-    grid_step: float = 0.1,
-) -> Trajectory:
-    """Exact fluid path sampled on ``schedule_grid(schedule, grid_step)``.
+def _propagate(schedule: Schedule, z0: FluidState, counts: list[int]) -> tuple[np.ndarray, int]:
+    """w = (z, y, 1) from (z0, 0, 1) at the ends of ``counts[i]`` equal
+    steps across each interval i, and the number of passes of s.
 
     One matrix exponential per (interval, side of z_q = s) carries the
-    state over one grid step. Its powers, made by doubling, carry it over up
-    to ``_SCAN_STEPS`` nodes in one product, up to the first step in which
+    state over one step. Its powers, made by doubling, carry it over up to
+    ``_SCAN_STEPS`` steps in one product, up to the first step in which
     z_q may pass s. That step is taken alone: the crossing is located by
     Newton steps on the exact solution, z_q is set to s there and the step
-    goes on from the other side; ``Trajectory.regime_switches`` counts these.
+    goes on from the other side.
     """
-    # shared grid constructor keeps time columns bit-identical with the
-    # simulator's sampling grid at the same resolution
-    grid = schedule_grid(schedule, grid_step)
-    values = np.empty((len(grid), 4))
-    values[0] = w = np.append(z0.as_array(), 1.0)
+    values = np.empty((1 + sum(counts), 5))
+    values[0] = w = np.array([*z0.as_array(), 0.0, 1.0])
     k = switches = 0
-    for t0, t1, lam, s in schedule.intervals():
-        n = grid_steps(t1 - t0, grid_step)
+    for (t0, t1, lam, s), n in zip(schedule.intervals(), counts):
         h = (t1 - t0) / n
         regimes = _regimes(lam, s, schedule)
-        steps = [_expm(h * gen) for gen, _ in regimes]
+        # each side's step powers, made when that side is first scanned
         tables: list[np.ndarray | None] = [None, None]
         drift_above = regimes[1][0][0]
         stop = k + n
@@ -284,8 +283,8 @@ def integrate_schedule(
             # kept up to the first step that may pass s or ends non-finite
             above = _above(w, s, drift_above)
             if tables[above] is None:
-                tables[above] = _powers(steps[above], min(n, _SCAN_STEPS))
-            run = (tables[above][:stop - k].reshape(-1, 4) @ w).reshape(-1, 4)
+                tables[above] = _powers(_expm(h * regimes[above][0]), min(n, _SCAN_STEPS))
+            run = (tables[above][:stop - k].reshape(-1, 5) @ w).reshape(-1, 5)
             kept = np.isfinite(run).all(axis=1) & _quiet(regimes[above][1], np.vstack([w, run]))
             j = len(run) if kept.all() else int(kept.argmin())
             values[k + 1:k + 1 + j] = run[:j]
@@ -298,9 +297,10 @@ def integrate_schedule(
             while True:
                 above = _above(w, s, drift_above)
                 gen, probes = regimes[above]
-                nxt = (steps[above] if left == h else _expm(left * gen)) @ w
+                whole = left == h and tables[above] is not None
+                nxt = (tables[above][0] if whole else _expm(left * gen)) @ w
                 if not all(map(math.isfinite, nxt.tolist())):
-                    raise FluidIntegrationError(f"non-finite fluid state at t={grid[k + 1]}")
+                    raise FluidIntegrationError(f"non-finite fluid state after t={t0}")
                 switch = _first_pass(gen, probes, w, nxt, left)
                 if switch is None:
                     break
@@ -310,9 +310,31 @@ def integrate_schedule(
                 switches += 1
             k += 1
             values[k] = w = nxt
+    return values, switches
+
+
+def integrate_schedule(
+    schedule: Schedule,
+    z0: FluidState = EMPTY_STATE,
+    grid_step: float = 0.1,
+) -> Trajectory:
+    """Exact fluid path sampled on ``schedule_grid(schedule, grid_step)``;
+    ``Trajectory.regime_switches`` counts the passes of z_q through s."""
+    # shared grid constructor keeps time columns bit-identical with the
+    # simulator's sampling grid at the same resolution
+    grid = schedule_grid(schedule, grid_step)
+    steps = [grid_steps(t1 - t0, grid_step) for t0, t1, _, _ in schedule.intervals()]
+    values, switches = _propagate(schedule, z0, steps)
     # rounding leaves values of order 1e-17 below 0 where a component is
     # identically zero
     return Trajectory(grid, np.maximum(values[:, :3], 0.0), regime_switches=switches)
+
+
+def interval_arrival_rates(schedule: Schedule) -> np.ndarray:
+    """Mean total arrival rate lam_i + (y(t1) - y(t0)) / (t1 - t0) of each
+    interval from the empty state, one exact step each; rounding below 0 is clipped."""
+    y = _propagate(schedule, EMPTY_STATE, [1] * schedule.m)[0][:, 3]
+    return np.maximum(np.add(schedule.lambdas, np.diff(y) / np.diff(schedule.boundaries)), 0.0)
 
 
 def stationary_state(params: ModelParams) -> StationaryState:

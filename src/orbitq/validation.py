@@ -16,18 +16,22 @@ import numpy as np
 
 from .artifacts import write_csv
 from .model import (
-    MAX_GRID_NODES,
     ModelParams,
     ParameterError,
     Schedule,
     Trajectory,
     single_interval,
 )
-from .fluid import integrate_schedule, total_arrival_rate
+from .fluid import integrate_schedule
 from .erlang import psa_performance
 from .simulation import run_replications
 
 DEFAULT_RHO_GRID = (1.01, 1.05, 1.1, 1.2, 1.3, 1.4, 1.5)
+
+# most blocks refine_schedule makes. `orbitq erlang` spends 0.36-0.41 kB
+# (tracemalloc peak) and 0.19-0.25 ms per block on a 2-vCPU host, so this
+# many need about 0.4 GB and 4 minutes
+MAX_BLOCKS = 1_000_000
 
 # Synthetic intraday arrival shape: 16 half-hour intervals, a morning
 # peak in the 5th and an afternoon peak in the 12th, mean exactly 1, so
@@ -125,18 +129,18 @@ def refine_schedule(schedule: Schedule, block: float) -> Schedule:
 
     Dynamics are unchanged (each piece keeps its interval's lam and s);
     only the pointwise-stationary evaluation gets a finer partition. The
-    pieces are counted before any is built: each needs a grid node, so
-    more than ``MAX_GRID_NODES`` of them are refused.
+    pieces are counted before any is built, and more than ``MAX_BLOCKS``
+    of them are refused.
     """
     if block <= 0:
         raise ParameterError(f"block must be > 0, got {block}")
     # the count is capped before rounding, so a tiny block cannot overflow it
-    counts = [max(1, math.ceil(min((t1 - t0) / block, MAX_GRID_NODES) - 1e-9))
+    counts = [max(1, math.ceil(min((t1 - t0) / block, MAX_BLOCKS + 1) - 1e-9))
               for t0, t1, _, _ in schedule.intervals()]
-    if 1 + sum(counts) > MAX_GRID_NODES:
+    if sum(counts) > MAX_BLOCKS:
         raise ParameterError(
-            f"block {block} splits the schedule into more pieces than the "
-            f"limit of {MAX_GRID_NODES} grid nodes allows")
+            f"block {block} splits the schedule into more than the limit "
+            f"of {MAX_BLOCKS} blocks")
     bounds = [0.0]
     lams: list[float] = []
     ags: list[int] = []
@@ -213,13 +217,12 @@ def run_sl_ap_table(
     ``analytic_block`` minutes before the pointwise-stationary step: the
     dynamics are identical, but evaluating Erlang-A per block instead of
     per whole interval keeps the time-varying total rate from being
-    averaged away.
+    averaged away. ``grid_step`` is the simulator's grid; the analytic
+    leg's block rates are exact and need none.
     """
     rows = []
     for rho, schedule in schedule_family:
-        refined = refine_schedule(schedule, analytic_block)
-        fluid = integrate_schedule(refined, grid_step=grid_step)
-        perf = psa_performance(refined, total_arrival_rate(fluid, refined), tau)
+        perf = psa_performance(refine_schedule(schedule, analytic_block), tau)
         summary = run_replications(schedule, r=r, base_seed=base_seed,
                                    grid_step=grid_step, tau=tau)
         rows.append(SlApRow(rho_hat=rho, sl_sim=summary.sl, sl_a=perf.sl,

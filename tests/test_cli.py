@@ -106,6 +106,21 @@ class TestErlangCommand:
         lines = (out / "performance.csv").read_text(encoding="utf-8")
         assert len(lines.strip().split("\n")) == 1 + 1 + 1
 
+    def test_performance_csv_does_not_depend_on_grid(self, tmp_path):
+        cfg = dict(CONFIG, intervals=[
+            {"t_start": 0, "t_end": 30, "lambda": 40, "s": 148},
+            {"t_start": 30, "t_end": 60, "lambda": 55, "s": 150},
+            {"t_start": 60, "t_end": 90, "lambda": 20, "s": 175}])
+        path = tmp_path / "multi.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        outputs = set()
+        for grid in ("0.1", "0.5", "1.0"):
+            out = tmp_path / grid
+            assert main(["erlang", "--config", str(path), "--out", str(out),
+                         "--block", "10", "--grid", grid]) == 0
+            outputs.add((out / "performance.csv").read_bytes())
+        assert len(outputs) == 1
+
     def test_idle_interval_has_empty_cells(self, tmp_path):
         cfg = dict(SMALL_CONFIG, intervals=[
             {"t_start": 0, "t_end": 30, "lambda": 0, "s": 2},
@@ -289,19 +304,27 @@ class TestErrors:
         (["erlang", "--block", "nan"], 2, 1),
         (["erlang", "--block", "1e-300"], 2, 1),
         (["oracle", "--caps", "10,6,6"], 0, 0),
+        (["fluid", "--step", "nan"], 2, 1),
+        (["fluid", "--step", "-1"], 2, 1),
+        (["oracle", "--grid", "nan"], 2, 1),
+        (["oracle", "--tau", "nan"], 2, 1),
+        (["oracle", "--reps", "-3"], 2, 1),
     ], ids=["fluid-grid-0", "erlang-grid-0", "validate-grid-0", "fluid-grid-nan",
             "fluid-grid-inf", "fluid-grid-tiny", "simulate-grid-tiny",
             "simulate-tau-negative", "simulate-tau-nan",
             "erlang-tau-inf", "validate-rho-inf", "validate-rho-nan",
-            "erlang-block-nan", "erlang-block-tiny", "oracle-zero-arrivals"])
+            "erlang-block-nan", "erlang-block-tiny", "oracle-zero-arrivals",
+            "fluid-step-nan", "fluid-step-negative", "oracle-grid-nan",
+            "oracle-tau-nan", "oracle-reps-negative"])
     def test_flag_values(self, tmp_path, capsys, argv, lam, code):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["intervals"][0]["lambda"] = lam
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         out = tmp_path / "o"
-        assert main(argv + ["--config", str(path), "--out", str(out),
-                            "--reps", "2"]) == code
+        # argparse takes the last --reps, so a case's own is not overridden
+        reps = [] if "--reps" in argv else ["--reps", "2"]
+        assert main(argv + ["--config", str(path), "--out", str(out)] + reps) == code
         if code == 0:
             data = json.loads((out / "oracle.json").read_text(encoding="utf-8"))
             assert data["moments"]["e_zq"] < 1e-6

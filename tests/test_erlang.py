@@ -269,8 +269,7 @@ class TestMetrics:
 class TestPipeline:
     def test_psa_on_refined_schedule(self):
         sch = refine_schedule(single_interval(OVERLOADED, 480.0), 60.0)
-        traj = integrate_schedule(sch, grid_step=0.1)
-        perf = psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
+        perf = psa_performance(sch, tau=0.5)
         assert len(perf.intervals) == 8
         assert perf.intervals[0].sl > perf.intervals[-1].sl
         assert perf.intervals[0].ap < perf.intervals[-1].ap
@@ -280,21 +279,31 @@ class TestPipeline:
         hi = max(r.sl for r in perf.intervals)
         assert lo <= perf.sl <= hi
 
-    def test_interval_rate_is_fresh_plus_orbit_average(self):
-        sch = single_interval(OVERLOADED, 60.0)
-        traj = integrate_schedule(sch, grid_step=0.1)
+    # p = 1: above s the redial orbit returns every abandoning caller, and
+    # the matrix A of the drift there is singular
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_interval_rate_matches_a_fine_trapezoid(self, p):
+        # z_q crosses s = 148 inside the first interval and falls back below
+        # the 175 agents of the last
+        sch = Schedule(boundaries=(0.0, 20.0, 35.0, 60.0), lambdas=(40.0, 55.0, 20.0),
+                       agents=(148, 150, 175), mu=0.25, theta=0.5, p=p, q=0.1,
+                       delta_rd=0.05, delta_rc=0.01)
+        perf = psa_performance(sch, tau=0.5)
+        traj = integrate_schedule(sch, grid_step=0.001)
         rates = total_arrival_rate(traj, sch)
-        perf = psa_performance(sch, rates, tau=0.5)
-        expected = np.trapezoid(rates.total, traj.grid) / 60.0
-        assert perf.intervals[0].lambda_mean == pytest.approx(expected, rel=1e-12)
+        orbit = rates.redial + rates.reconnect
+        for row in perf.intervals:
+            sel = (traj.grid >= row.t_start) & (traj.grid <= row.t_end)
+            lam = sch.lambdas[row.index]
+            trapezoid = lam + np.trapezoid(orbit[sel], traj.grid[sel]) / (row.t_end - row.t_start)
+            assert row.lambda_mean == pytest.approx(trapezoid, rel=1e-9)
 
     def test_idle_interval_has_no_sl_or_ap(self):
         # lambda = 0 from the empty state: no inflow at all in interval 0
         sch = Schedule(boundaries=(0.0, 30.0, 60.0), lambdas=(0.0, 40.0),
                        agents=(148, 148), mu=0.25, theta=0.5, p=0.5, q=0.1,
                        delta_rd=0.05, delta_rc=0.01)
-        traj = integrate_schedule(sch, grid_step=0.1)
-        perf = psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
+        perf = psa_performance(sch, tau=0.5)
         idle, busy = perf.intervals
         assert idle.lambda_mean == 0.0
         assert idle.sl is None and idle.ap is None
@@ -304,22 +313,22 @@ class TestPipeline:
 
     def test_all_idle_rejected(self):
         sch = single_interval(OVERLOADED.with_interval(0.0, 2), 60.0)
-        traj = integrate_schedule(sch, grid_step=0.1)
         with pytest.raises(ParameterError, match="all intervals have zero"):
-            psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
+            psa_performance(sch, tau=0.5)
 
-    def test_span_mismatch_rejected(self):
-        sch = single_interval(OVERLOADED, 60.0)
-        traj = integrate_schedule(sch, grid_step=0.1)
-        rates = total_arrival_rate(traj, sch)
-        other = single_interval(OVERLOADED, 120.0)
-        with pytest.raises(ParameterError):
-            psa_performance(other, rates, tau=0.5)
+    def test_block_rates_add_up_to_the_interval_rate(self):
+        # the integral over an interval is the sum of those over its blocks,
+        # each taken in one step from the block's own start
+        sch = single_interval(OVERLOADED, 480.0)
+        whole = psa_performance(sch, tau=0.5).intervals[0]
+        blocks = psa_performance(refine_schedule(sch, 7.0), tau=0.5).intervals
+        assert len(blocks) == 69
+        mean = sum(r.lambda_mean * (r.t_end - r.t_start) for r in blocks) / 480.0
+        assert mean == pytest.approx(whole.lambda_mean, rel=1e-12)
 
     def test_performance_csv(self, tmp_path):
         sch = refine_schedule(single_interval(OVERLOADED, 480.0), 120.0)
-        traj = integrate_schedule(sch, grid_step=0.1)
-        perf = psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
+        perf = psa_performance(sch, tau=0.5)
         path = tmp_path / "perf.csv"
         write_performance_csv(path, perf)
         lines = path.read_text(encoding="utf-8").strip().split("\n")

@@ -32,6 +32,7 @@ from orbitq.fluid import (
     _regimes,
     drift,
     integrate_schedule,
+    interval_arrival_rates,
     stationary_state,
     total_arrival_rate,
     write_trajectory_csv,
@@ -271,7 +272,7 @@ class TestReference:
         assert traj.values.min() >= 0.0
         # the Erlang-A step then sees no inflow at all in the idle interval,
         # not a negative one, and reports it as idle
-        perf = psa_performance(sch, total_arrival_rate(traj, sch), tau=0.5)
+        perf = psa_performance(sch, tau=0.5)
         idle = perf.intervals[1]
         assert idle.lambda_mean == 0.0 and idle.sl is None and idle.ap is None
 
@@ -303,16 +304,20 @@ class TestExpm:
     def test_matches_scipy(self, rates, p, q, lam, s, log_norm):
         mu, theta, d_rd, d_rc = rates
         sch = SimpleNamespace(mu=mu, theta=theta, p=p, q=q, delta_rd=d_rd, delta_rc=d_rc)
-        for gen, _ in _regimes(lam, s, sch):
-            # the exact similarity that brings the forcing column to the
-            # size of A, by a power of two as in _expm
-            col = [1.0, 1.0, 1.0, 2.0 ** (math.frexp(abs(gen[:3, 3]).max())[1]
-                                       - math.frexp(abs(gen[:3, :3]).max())[1])]
-            m = gen * (10.0 ** log_norm / abs(gen / col).sum(axis=0).max())
-            ref = expm(m / col)
-            norm = abs(m / col).sum(axis=0).max()
-            gap = abs(_expm(m)[:3] / col - ref[:3]).sum(axis=0).max()
-            assert gap <= 1e-12 * max(1.0, norm) * abs(ref).sum(axis=0).max()
+        for full, _ in _regimes(lam, s, sch):
+            # the 5x5 generator with the integral row, and the 4x4 one of
+            # the state alone
+            for gen in (full, np.delete(np.delete(full, 3, 0), 3, 1)):
+                # the exact similarity that brings the forcing column to the
+                # size of the rest, by a power of two as in _expm
+                col = np.ones(len(gen))
+                col[-1] = 2.0 ** (math.frexp(abs(gen[:-1, -1]).max())[1]
+                                  - math.frexp(abs(gen[:-1, :-1]).max())[1])
+                m = gen * (10.0 ** log_norm / abs(gen / col).sum(axis=0).max())
+                ref = expm(m / col)
+                norm = abs(m / col).sum(axis=0).max()
+                gap = abs(_expm(m)[:-1] / col - ref[:-1]).sum(axis=0).max()
+                assert gap <= 1e-12 * max(1.0, norm) * abs(ref).sum(axis=0).max()
 
 
 def test_fluid_solve_imports_no_scipy_linalg():
@@ -376,6 +381,19 @@ class TestRates:
         rates = total_arrival_rate(traj, sch)
         assert np.array_equal(rates.redial, FIXTURE.delta_rd * traj.z_rd)
         assert np.array_equal(rates.reconnect, FIXTURE.delta_rc * traj.z_rc)
+
+    def test_interval_rates_at_the_stationary_state(self):
+        # 5,000 minutes take the path to its stationary point up to
+        # e^(-delta_rc t) = 2e-22, so each later interval's mean rate is the
+        # rate there
+        sch = Schedule(boundaries=(0.0, 5000.0, 5030.0, 5060.0), lambdas=(40.0,) * 3,
+                       agents=(148,) * 3, mu=0.25, theta=0.5, p=0.5, q=0.1,
+                       delta_rd=0.05, delta_rc=0.01)
+        z = stationary_state(OVERLOADED).state
+        rates = interval_arrival_rates(sch)
+        expected = OVERLOADED.lam + OVERLOADED.delta_rd * z.z_rd + OVERLOADED.delta_rc * z.z_rc
+        assert rates.shape == (3,)
+        assert np.allclose(rates[1:], expected, rtol=1e-12, atol=0.0)
 
     def test_span_outside_schedule_rejected(self):
         sch = single_interval(FIXTURE, 30.0)

@@ -1,5 +1,7 @@
 """Error metrics, staffing rule, schedule builders, and table runners."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from orbitq.model import (
 from orbitq.fluid import integrate_schedule
 from orbitq.validation import (
     DEFAULT_RHO_GRID,
+    MAX_BLOCKS,
     ErrorRow,
     SlApRow,
     error_metrics,
@@ -147,13 +150,27 @@ class TestScheduleBuilders:
         with pytest.raises(ParameterError):
             refine_schedule(sch, 0.0)
 
-    # 480 / MAX_GRID_NODES asks for exactly one piece per node; 5e-324
+    # 480 / MAX_GRID_NODES asks for ten times MAX_BLOCKS pieces; 5e-324
     # overflows the ratio to inf
     @pytest.mark.parametrize("block", [480.0 / MAX_GRID_NODES, 1e-300, 5e-324])
     def test_refine_refuses_more_pieces_than_grid_nodes(self, block):
         sch = single_interval(BASE.with_interval(40.0, 148), 480.0)
         with pytest.raises(ParameterError, match="limit"):
             refine_schedule(sch, block)
+
+
+    def test_refine_refuses_past_the_block_limit_before_building(self):
+        # one piece past the limit; the refined schedule alone would take
+        # about 72 bytes a piece, 72 MB
+        sch = single_interval(BASE.with_interval(40.0, 148), 480.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"limit of {MAX_BLOCKS} blocks"):
+                refine_schedule(sch, 480.0 / (MAX_BLOCKS + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestTables:
@@ -172,7 +189,8 @@ class TestTables:
         assert by_rho[1.2].e_rd < by_rho[1.05].e_rd / 5.0
 
     def test_grid_not_a_multiple_of_step_rejected(self):
-        # a 0.7-minute grid step does not divide the 60-minute analytic blocks
+        # a 0.7-minute grid step does not divide the 480-minute interval the
+        # simulator samples; the analytic blocks need no grid
         with pytest.raises(ParameterError, match="does not divide"):
             run_sl_ap_table(single_interval_family(BASE, (1.2,)), r=1,
                             grid_step=0.7)
