@@ -264,6 +264,9 @@ def _check_common(args) -> None:
         if not 0 < value < math.inf:
             raise ParameterError(f"--{flag} must be finite and > 0, got {value}")
     check_tau(args.tau)
+    # replication i's Philox key is seed * 2**64 + i, which must stay below 2**128
+    if not 0 <= args.seed < 2 ** 64:
+        raise ParameterError(f"--seed must be in [0, 2**64), got {args.seed}")
     if args.reps < 1:
         raise ParameterError(f"--reps must be >= 1, got {args.reps}")
 

@@ -19,6 +19,10 @@ and Stewart (1994, ch. 6).
 
 Only small instances are tractable here; production-size scenarios are
 exactly what the fluid approximation is for.
+
+``scipy.sparse`` is imported by :func:`build_chain`, so only building a
+chain loads it: ``orbitq fluid`` and ``orbitq simulate`` run on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -26,12 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .artifacts import write_json
 from .model import ModelParams, ParameterError, validate
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # build plus solve peaks at about 706 bytes per state (the generator, its
 # transpose and the solve vectors), so this many states need about 1.4 GB
@@ -96,6 +103,8 @@ def build_chain(params: ModelParams, caps: tuple[int, int, int]) -> TruncatedCha
     (i-1,j,k) and (i-1,j+1,k); redials delta_rd*j to (i+1,j-1,k);
     reconnects delta_rc*k to (i+1,j,k-1).
     """
+    import scipy.sparse as sp
+
     validate(params)
     nq, nrd, nrc = caps
     if nq < 1 or nrd < 0 or nrc < 0:

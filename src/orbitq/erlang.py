@@ -9,6 +9,10 @@ j callers ahead) over the PASTA weights gives SL as one more incomplete
 gamma difference. Where a closed form underflows (Q once a > s, P once
 y < x, i.e. a < s) its sum is taken term by term. Masses are carried in
 log space, so any load a float can express is safe from overflow.
+
+The incomplete gamma functions come from ``scipy.special``, imported by
+the functions that call them, so only an Erlang-A evaluation loads it:
+``orbitq fluid`` and ``orbitq simulate`` run on numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
 
 from .artifacts import write_csv
 from .model import ParameterError, Schedule, check_tau
@@ -87,6 +90,7 @@ def _log_scale(x: float, y: float) -> float:
     """log(Gamma(x+1) e^y y^-x) for y >= x; from x = 100 by Stirling's series
     (next term below 1e-17), as three terms of size x log x would cancel."""
     if x < 100:
+        from scipy.special import gammaln
         return gammaln(x + 1) + y - x * math.log(y)
     d = y - x
     return (0.5 * math.log(2 * math.pi * x)
@@ -97,6 +101,7 @@ def _log_scale(x: float, y: float) -> float:
 def _masses(inp: ErlangAInput):
     """x, y, log E, log T, log(E + T) and, below s (a < s), the series
     (T - 1, sum_j j*pi_{s+j}/pi_s) that gave T; None from s up."""
+    from scipy.special import gammainc, gammaincc, gammaln
     s, lam = inp.s, inp.arrival_rate
     x, y, a = s * inp.mu / inp.theta, lam / inp.theta, lam / inp.mu
     if a < s:
@@ -165,6 +170,7 @@ def service_level(inp: ErlangAInput, tau: float) -> float:
         weight = math.exp(-y * math.expm1(-decay) - x * decay)
         wait = (below[0] - weight * tc1) * math.exp(-log_z) * x / y
     else:
+        from scipy.special import gammainc, gammaincc
         if yc > x + 1:  # P near 1: take the difference on the Q side
             dp = gammaincc(x + 1, yc) - gammaincc(x + 1, y)
         else:

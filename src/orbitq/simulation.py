@@ -28,7 +28,14 @@ from typing import Callable
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .model import ParameterError, Schedule, Trajectory, check_tau, schedule_grid
+from .model import (
+    MAX_GRID_NODES,
+    ParameterError,
+    Schedule,
+    Trajectory,
+    check_tau,
+    schedule_grid,
+)
 from .fluid import TRAJECTORY_CSV_HEADER, total_arrival_rate
 
 RNG_NAME = "philox4x64"
@@ -422,11 +429,20 @@ def run_replications(
 
     Replication i uses Philox key base_seed * 2**64 + i, so the set of
     paths is fixed by ``base_seed`` alone and aggregation in index order
-    makes the summary bit-reproducible.
+    makes the summary bit-reproducible. Every path's samples are held until
+    the end, so r times the grid's node count may not exceed
+    ``MAX_GRID_NODES`` (240 MB of float64 triples).
     """
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
     check_tau(tau)
+    nodes = len(schedule_grid(schedule, grid_step))
+    if r * nodes > MAX_GRID_NODES:
+        raise ParameterError(
+            f"{r} replications of {nodes} grid nodes exceed the limit of "
+            f"{MAX_GRID_NODES} path samples held in memory until aggregation: "
+            f"at most {MAX_GRID_NODES // nodes} replications fit on this grid, "
+            "and a coarser grid step admits more")
     values = None
     sl_reps = np.empty(r)
     ap_reps = np.empty(r)

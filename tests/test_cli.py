@@ -309,13 +309,17 @@ class TestErrors:
         (["oracle", "--grid", "nan"], 2, 1),
         (["oracle", "--tau", "nan"], 2, 1),
         (["oracle", "--reps", "-3"], 2, 1),
+        (["simulate", "--reps", "1000000000000000"], 2, 1),
+        (["simulate", "--seed", "-1"], 2, 1),
+        (["simulate", "--seed", "1180591620717411303424"], 2, 1),
     ], ids=["fluid-grid-0", "erlang-grid-0", "validate-grid-0", "fluid-grid-nan",
             "fluid-grid-inf", "fluid-grid-tiny", "simulate-grid-tiny",
             "simulate-tau-negative", "simulate-tau-nan",
             "erlang-tau-inf", "validate-rho-inf", "validate-rho-nan",
             "erlang-block-nan", "erlang-block-tiny", "oracle-zero-arrivals",
             "fluid-step-nan", "fluid-step-negative", "oracle-grid-nan",
-            "oracle-tau-nan", "oracle-reps-negative"])
+            "oracle-tau-nan", "oracle-reps-negative", "simulate-reps-huge",
+            "simulate-seed-negative", "simulate-seed-2-70"])
     def test_flag_values(self, tmp_path, capsys, argv, lam, code):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["intervals"][0]["lambda"] = lam

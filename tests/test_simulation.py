@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from orbitq.model import ModelParams, ParameterError, Schedule, single_interval
+from orbitq import simulation
+from orbitq.model import (
+    MAX_GRID_NODES,
+    ModelParams,
+    ParameterError,
+    Schedule,
+    single_interval,
+)
 from orbitq.simulation import (
     RNG_NAME,
     SimulationError,
@@ -243,6 +250,18 @@ class TestReplications:
     def test_invalid_rep_count(self):
         with pytest.raises(ParameterError):
             run_replications(fixture_schedule(10.0), r=0, base_seed=1)
+
+    def test_rep_count_bounded_before_any_path(self, monkeypatch):
+        # 10 minutes on the 0.1 grid is 101 nodes; no path is ever simulated
+        def no_path(*args, **kwargs):
+            raise AssertionError("simulate_path called")
+
+        monkeypatch.setattr(simulation, "simulate_path", no_path)
+        fit = MAX_GRID_NODES // 101
+        with pytest.raises(ParameterError, match=f"at most {fit} replications"):
+            run_replications(fixture_schedule(10.0), r=fit + 1, base_seed=1)
+        with pytest.raises(AssertionError, match="simulate_path called"):
+            run_replications(fixture_schedule(10.0), r=fit, base_seed=1)
 
 
 class TestWriters:

@@ -10,7 +10,9 @@ For each workload in BENCHMARK.json it runs ``bench/run.py --trace 0`` in
 both checkouts, alternating which side runs first, then one ``--trace 1``
 run in each. It also times ``integrate_schedule`` on the
 ``two-peak-week`` seed-1 config in both checkouts, on a quiet host and with
-a busy loop of its own on another core. It writes
+a busy loop of its own on another core, and times whole ``orbitq``
+subcommands on the reference config, each in a fresh process, import
+included (``cli_process_s``). It writes
 ``BENCH_<date>_<sha>.json`` at the repository root: per metric, each
 side's median and quartiles (statistics.quantiles, n=4), every run's value
 and the pairs the change won, with the machine it ran on. A run whose
@@ -29,6 +31,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,6 +57,15 @@ for _ in range(int(sys.argv[2])):
     times.append(time.perf_counter() - t)
 print(json.dumps(times))
 """
+
+
+# subcommands timed end to end in a fresh process, on the reference config
+CLI_CALLS = {
+    "fluid": ["fluid"],
+    "erlang": ["erlang", "--block", "60"],
+    "simulate": ["simulate", "--reps", "1"],
+    "oracle": ["oracle", "--caps", "30,20,20"],
+}
 
 
 def git(*args: str) -> str:
@@ -120,6 +132,38 @@ def integrate_figures(sides: dict[str, Path], repeats: int) -> dict:
     return out
 
 
+def cli_process_times(sides: dict[str, Path], repeats: int) -> dict:
+    """Median wall time of each of CLI_CALLS per side, each call a fresh
+    ``python -m orbitq.cli`` process, the sides alternating call by call.
+
+    One untimed call per subcommand and side first writes the bytecode.
+    """
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import reference_config
+
+    times = {side: {name: [] for name in CLI_CALLS} for side in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "reference.json"
+        config.write_text(json.dumps(reference_config(0)), encoding="utf-8")
+        for i in range(repeats + 1):
+            for name, argv in CLI_CALLS.items():
+                for side in sides if i % 2 == 0 else reversed(list(sides)):
+                    cmd = [sys.executable, "-m", "orbitq.cli", *argv,
+                           "--config", str(config), "--out", f"{tmp}/{side}-{name}"]
+                    env = {**os.environ, "PYTHONPATH": str(sides[side] / "src")}
+                    t = time.perf_counter()
+                    done = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                                          timeout=600)
+                    elapsed = time.perf_counter() - t
+                    if done.returncode != 0:
+                        sys.exit(f"error: {side} orbitq {name}: exit {done.returncode}: "
+                                 f"{done.stderr.strip()}")
+                    if i:
+                        times[side][name].append(elapsed)
+    return {side: {name: spread(runs) for name, runs in by_name.items()}
+            for side, by_name in times.items()}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -129,6 +173,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2 to give quartiles, got {args.pairs}")
+    if args.repeats < 5:
+        parser.error(f"--repeats must be at least 5 for a median, got {args.repeats}")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     sha = git("rev-parse", "--short", "HEAD")
@@ -182,6 +228,7 @@ def main() -> int:
                 "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
                 "loadavg_at_start": load},
         "integrate_schedule_two_peak_week_seed1": integrate_figures(sides, args.repeats),
+        "cli_process_s": cli_process_times(sides, args.repeats),
         "workloads": workloads,
     }
     date = datetime.date.today().isoformat()
