@@ -58,7 +58,12 @@ _HANDLED = (
 
 
 def _atomic(path: Path, writer) -> Path:
-    """Write through a sibling temp file, then rename into place."""
+    """Write through a sibling temp file, then rename into place.
+
+    The directory is made here, at the first artifact, so a refusal
+    raised before any output leaves no empty --out behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         writer(tmp)
@@ -68,19 +73,13 @@ def _atomic(path: Path, writer) -> Path:
     return path
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _done(path: Path) -> None:
     print(f"wrote {path}")
 
 
 def cmd_fluid(args) -> int:
     schedule = load_config(args.config)
-    out = _out_dir(args)
+    out = Path(args.out)
     traj = integrate_schedule(schedule, grid_step=args.grid)
     _done(_atomic(out / "trajectory.csv",
                   lambda p: write_trajectory_csv(p, traj, schedule)))
@@ -106,7 +105,7 @@ def cmd_fluid(args) -> int:
 
 def cmd_simulate(args) -> int:
     schedule = load_config(args.config)
-    out = _out_dir(args)
+    out = Path(args.out)
     summary = run_replications(schedule, r=args.reps, base_seed=args.seed,
                                grid_step=args.grid, tau=args.tau)
     if args.reps == 1:
@@ -138,7 +137,7 @@ def cmd_erlang(args) -> int:
         raise ParameterError("--block must be a number, got nan")
     if args.block > 0:
         schedule = refine_schedule(schedule, args.block)
-    out = _out_dir(args)
+    out = Path(args.out)
     perf = psa_performance(schedule, tau=args.tau)
     _done(_atomic(out / "performance.csv",
                   lambda p: write_performance_csv(p, perf)))
@@ -158,7 +157,7 @@ def cmd_oracle(args) -> int:
         raise ParameterError(f"--caps must be three integers, got {args.caps!r}")
     if len(caps) != 3:
         raise ParameterError(f"--caps must be three integers, got {args.caps!r}")
-    out = _out_dir(args)
+    out = Path(args.out)
     chain = build_chain(schedule.params_for(0), caps)
     solution = solve_stationary(chain)
     _done(_atomic(out / "oracle.json",
@@ -170,7 +169,7 @@ def cmd_validate(args) -> int:
     schedule = load_config(args.config)
     base = schedule.params_for(0)
     rho_grid = tuple(float(x) for x in args.rho_grid.split(","))
-    out = _out_dir(args)
+    out = Path(args.out)
 
     if args.table == "single":
         rows = run_single_interval_table(

@@ -203,17 +203,30 @@ def _root(row: np.ndarray, gen: np.ndarray, w: np.ndarray,
     return t, _expm(t * gen) @ w
 
 
+def _lands(probes: np.ndarray, f: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """For each step between consecutive rows of f = path @ probes.T, whether
+    z_q starts clearly short of s, moving towards it, and ends on s within
+    rounding. Its drift may then have turned inside the step and decayed
+    below rounding by the end, so no sign test sees z_q pass s and come
+    back; ``_first_pass`` looks inside."""
+    band = _RTOL * abs(probes[0, -1])
+    return ((f[:-1, 0] < -band) & (abs(f[1:, 0]) <= band)
+            & (probes[0, 0] * f[:-1, 1] > tol[:-1, 1]))
+
+
 def _quiet(probes: np.ndarray, path: np.ndarray) -> np.ndarray:
     """For each step between consecutive states w in the rows of ``path``,
     whether z_q provably does not pass s inside it: neither d1 nor d changes
-    sign beyond rounding, so z_q is monotone, and z_q ends at most rounding
-    past s. This is the common case, and ``_first_pass`` stops at once."""
+    sign beyond rounding, so z_q is monotone, z_q ends at most rounding
+    past s and does not land on s. This is the common case, and
+    ``_first_pass`` stops at once."""
     f = path @ probes.T
     tol = _RTOL * (abs(path) @ abs(probes).T)
     fa, fb = f[:-1, 1:], f[1:, 1:]
     flips = ((np.minimum(fa, fb) < 0) & (np.maximum(fa, fb) > 0)
              & (np.minimum(abs(fa), abs(fb)) > tol[:-1, 1:] + tol[1:, 1:]))
-    return ~flips.any(axis=1) & (f[1:, 0] <= _RTOL * abs(probes[0, -1]))
+    return (~flips.any(axis=1) & ~_lands(probes, f, tol)
+            & (f[1:, 0] <= _RTOL * abs(probes[0, -1])))
 
 
 def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndarray,
@@ -233,6 +246,23 @@ def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndar
         return None
     values = [(probes @ w).tolist(), (probes @ end).tolist()]
     band = _RTOL * abs(probes[0][-1])
+    path = np.stack(states)
+    if _lands(probes, path @ probes.T, _RTOL * (abs(path) @ abs(probes).T))[0]:
+        # halve towards the end until the drift at the midpoint is resolved
+        # and points away from s, or z_q there is past s: the turn or the
+        # pass then lies between two cuts the loops below can see
+        lo, hi = 0.0, span
+        for _ in range(_MAX_NEWTON):
+            mid = 0.5 * (lo + hi)
+            state = _expm(mid * gen) @ w
+            value = (probes @ state).tolist()
+            resolved = abs(value[1]) > _RTOL * (abs(probes[1]) @ abs(state))
+            if value[0] > band or resolved and probes[0][0] * value[1] < 0:
+                times.insert(1, mid)
+                states.insert(1, state)
+                values.insert(1, value)
+                break
+            lo, hi = (mid, hi) if resolved else (lo, mid)
     for j in (2, 1):
         for i in range(len(times) - 1, 0, -1):
             fa, fb, wa, wb = values[i - 1][j], values[i][j], states[i - 1], states[i]

@@ -511,7 +511,7 @@ def write_records_csv(path: str | Path, out: SimOutput) -> None:
     # object arrays index by reference, so no string is copied per attempt
     classes = np.array(_CLASS_NAMES, dtype=object)[out.rec_class]
     outcome = np.array(_OUTCOME_NAMES, dtype=object)[out.rec_status]
-    wait = np.where(out.rec_status < _SERVED, "", out.rec_wait.astype(object))
+    wait = np.ma.masked_array(out.rec_wait, mask=out.rec_status < _SERVED)
     write_csv(path, RECORDS_CSV_HEADER, [out.rec_arrival, classes, outcome, wait])
 
 

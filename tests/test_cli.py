@@ -312,6 +312,8 @@ class TestErrors:
         (["simulate", "--reps", "1000000000000000"], 2, 1),
         (["simulate", "--seed", "-1"], 2, 1),
         (["simulate", "--seed", "1180591620717411303424"], 2, 1),
+        (["fluid", "--grid", "7"], 2, 1),
+        (["oracle", "--caps", "0,6,6"], 2, 1),
     ], ids=["fluid-grid-0", "erlang-grid-0", "validate-grid-0", "fluid-grid-nan",
             "fluid-grid-inf", "fluid-grid-tiny", "simulate-grid-tiny",
             "simulate-tau-negative", "simulate-tau-nan",
@@ -319,7 +321,8 @@ class TestErrors:
             "erlang-block-nan", "erlang-block-tiny", "oracle-zero-arrivals",
             "fluid-step-nan", "fluid-step-negative", "oracle-grid-nan",
             "oracle-tau-nan", "oracle-reps-negative", "simulate-reps-huge",
-            "simulate-seed-negative", "simulate-seed-2-70"])
+            "simulate-seed-negative", "simulate-seed-2-70",
+            "fluid-grid-not-a-divisor", "oracle-caps-zero"])
     def test_flag_values(self, tmp_path, capsys, argv, lam, code):
         cfg = json.loads(json.dumps(SMALL_CONFIG))
         cfg["intervals"][0]["lambda"] = lam
@@ -335,7 +338,8 @@ class TestErrors:
             return
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert not out.exists() or not any(out.iterdir())
+        # --out is made at the first artifact, so a refusal leaves none
+        assert not out.exists()
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

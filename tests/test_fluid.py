@@ -224,6 +224,12 @@ class TestReference:
     @example(lengths=[1], lams=[3.0, 1.0, 1.0], agents=[11, 1, 1],
              z0=(0.0, 13.0, 0.0), grid_step=5.0,
              rates=(0.5, 1.0, 1.0, 0.5), tie=False, p=0.0, q=0.5)
+    # below s, z_q passes s = 1 at t = 0.5, turns at t = 1 and comes back
+    # onto s within rounding by the end of the 20-minute step, its drift
+    # decayed below rounding: no sign test at the step's ends sees the pass
+    @example(lengths=[1], lams=[2.0, 1.0, 1.0], agents=[1, 1, 1],
+             z0=(0.0, 0.0, 1.0), grid_step=20.0,
+             rates=(2.0, 1.0, 1.0, 1.0), tie=True, p=0.5, q=0.0)
     def test_exact_matches_solve_ivp_property(self, lengths, lams, agents, z0,
                                               grid_step, rates, tie, p, q):
         # tie: delta_rd = mu = theta = delta_rc, where the regime matrices

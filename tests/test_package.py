@@ -72,3 +72,15 @@ def test_fluid_and_simulate_load_no_scipy(tmp_path):
         assert report[step]["scipy"] == [], step
     assert "scipy.special" in report["erlang"]["scipy"]
     assert "scipy.sparse" in report["oracle"]["scipy"]
+
+
+def test_import_loads_no_orjson():
+    # write_csv imports orjson, so start-up does not pay for it
+    src = str(Path(orbitq.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, orbitq, orbitq.cli; print('orjson' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

@@ -8,11 +8,13 @@ Usage, from the repository root, with the parent commit unpacked apart:
 
 For each workload in BENCHMARK.json it runs ``bench/run.py --trace 0`` in
 both checkouts, alternating which side runs first, then one ``--trace 1``
-run in each. It also times ``integrate_schedule`` on the
-``two-peak-week`` seed-1 config in both checkouts, on a quiet host and with
-a busy loop of its own on another core, and times whole ``orbitq``
-subcommands on the reference config, each in a fresh process, import
-included (``cli_process_s``). It writes
+run in each. It also times ``integrate_schedule`` and
+``write_trajectory_csv`` on the ``two-peak-week`` seed-1 config in both
+checkouts, on a quiet host and with a busy loop of its own on another core,
+each figure the median over several fresh processes per side, the sides
+alternating, and times whole ``orbitq`` subcommands on the reference
+config, each in a fresh process, import included (``cli_process_s``). It
+writes
 ``BENCH_<date>_<sha>.json`` at the repository root: per metric, each
 side's median and quartiles (statistics.quantiles, n=4), every run's value
 and the pairs the change won, with the machine it ran on. A run whose
@@ -36,27 +38,41 @@ import time
 from pathlib import Path
 
 import numpy
+import orjson
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# times integrate_schedule in a fresh interpreter on the checkout given as
-# argv[1]; prints the list of wall times
+# times one call, named by argv[3], in a fresh interpreter on the checkout
+# given as argv[1], argv[2] times after one untimed call; prints the list
+# of wall times
 TIMER = """
-import json, sys, time
+import json, sys, tempfile, time
+from pathlib import Path
 sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/bench']
 from run import week_config
-from orbitq.fluid import integrate_schedule
+from orbitq.fluid import integrate_schedule, write_trajectory_csv
 from orbitq.model import schedule_from_dict
 schedule = schedule_from_dict(week_config(1))
-integrate_schedule(schedule, grid_step=0.1)
-times = []
-for _ in range(int(sys.argv[2])):
-    t = time.perf_counter()
-    integrate_schedule(schedule, grid_step=0.1)
-    times.append(time.perf_counter() - t)
+traj = integrate_schedule(schedule, grid_step=0.1)
+with tempfile.TemporaryDirectory() as tmp:
+    call = {
+        "integrate_schedule": lambda: integrate_schedule(schedule, grid_step=0.1),
+        "write_trajectory_csv":
+            lambda: write_trajectory_csv(Path(tmp) / "t.csv", traj, schedule),
+    }[sys.argv[3]]
+    call()
+    times = []
+    for _ in range(int(sys.argv[2])):
+        t = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t)
 print(json.dumps(times))
 """
+TIMED_CALLS = ("integrate_schedule", "write_trajectory_csv")
+# one process's speed can sit in one of two modes on a 2-vCPU host, so each
+# figure pools the per-process medians of several fresh processes per side
+TIMER_PROCESSES = 6
 
 
 # subcommands timed end to end in a fresh process, on the reference config
@@ -110,25 +126,36 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def fluid_times(checkout: Path, repeats: int) -> list[float]:
-    return last_json([sys.executable, "-c", TIMER, str(checkout), str(repeats)],
-                     None, f"integrate_schedule timing in {checkout}", 600)
+def process_median(checkout: Path, call: str, repeats: int) -> float:
+    times = last_json([sys.executable, "-c", TIMER, str(checkout), str(repeats), call],
+                      None, f"{call} timing in {checkout}", 600)
+    return statistics.median(times)
 
 
-def integrate_figures(sides: dict[str, Path], repeats: int) -> dict:
-    """Median integrate_schedule time per side, quiet and beside a busy loop."""
-    out = {side: {"quiet_s": statistics.median(fluid_times(path, repeats))}
-           for side, path in sides.items()}
-    busy = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+def call_figures(sides: dict[str, Path], call: str, repeats: int) -> dict:
+    """Per side, the spread of per-process medians of ``call``, quiet and
+    beside a busy loop; the sides alternate process by process."""
+    def medians() -> dict[str, list[float]]:
+        out: dict[str, list[float]] = {side: [] for side in sides}
+        for i in range(TIMER_PROCESSES):
+            for side in sides if i % 2 == 0 else reversed(list(sides)):
+                out[side].append(process_median(sides[side], call, repeats))
+        return out
+
+    quiet = medians()
+    busy_loop = subprocess.Popen([sys.executable, "-c", "while True: pass"])
     try:
         time.sleep(1.0)
-        for side, path in sides.items():
-            out[side]["busy_s"] = statistics.median(fluid_times(path, repeats))
+        busy = medians()
     finally:
-        busy.kill()
-        busy.wait()
-    for figures in out.values():
-        figures["busy_over_quiet"] = figures["busy_s"] / figures["quiet_s"]
+        busy_loop.kill()
+        busy_loop.wait()
+    out = {side: {"quiet_s": spread(quiet[side]), "busy_s": spread(busy[side]),
+                  "busy_over_quiet": statistics.median(busy[side])
+                  / statistics.median(quiet[side])}
+           for side in sides}
+    out["change_wins_quiet"] = sum(c < p for p, c in zip(quiet["parent"], quiet["change"]))
+    out["pairs_compared"] = TIMER_PROCESSES
     return out
 
 
@@ -225,9 +252,11 @@ def main() -> int:
         "run_seconds": declared["run_seconds"],
         "env": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                 "numpy": numpy.__version__, "scipy": scipy.__version__,
+                "orjson": orjson.__version__,
                 "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
                 "loadavg_at_start": load},
-        "integrate_schedule_two_peak_week_seed1": integrate_figures(sides, args.repeats),
+        **{f"{call}_two_peak_week_seed1": call_figures(sides, call, args.repeats)
+           for call in TIMED_CALLS},
         "cli_process_s": cli_process_times(sides, args.repeats),
         "workloads": workloads,
     }
