@@ -10,6 +10,10 @@ Transitions that would leave the box are redirected to self (reflection),
 which keeps the generator conservative; the rate lost this way is kept
 per state so truncation error can be reported against the solved pi.
 
+The chain stores G^T, built straight into CSR from the seven moves' rate
+fields, as the sweeps and the residual read it; ``generator`` is G as a
+transposed view.
+
 The stationary law is found by jump-chain power iteration, one sparse
 matvec per sweep, started coarse to fine: each box starts from the
 solution on the half box, padded with zeros, so the sweeps on the large
@@ -40,8 +44,8 @@ from .model import ModelParams, ParameterError, validate
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# build plus solve peaks at about 706 bytes per state (the generator, its
-# transpose and the solve vectors), so this many states need about 1.4 GB
+# build plus solve peaks at about 217 bytes per state (tracemalloc, 60x40x40:
+# G^T, P^T's values and the solve vectors), so this many need about 0.45 GB
 MAX_STATES = 2_000_000
 
 
@@ -53,19 +57,26 @@ class CTMCError(RuntimeError):
 class TruncatedChain:
     """Finite generator of the model on a box, with reflection bookkeeping.
 
-    ``generator`` is CSR with zero row sums; ``reflected`` holds, per
-    state, the total rate of transitions that were redirected to self
-    because the target fell outside the box.
+    ``generator_t`` is G^T in CSR (int32, sorted columns): row v holds the
+    rates into v, and ``diag`` the position of its diagonal entry in
+    ``data``. ``generator`` is G, its transposed view, with zero row sums.
+    ``reflected`` holds, per state, the total rate of transitions that
+    were redirected to self because the target fell outside the box.
     """
 
     params: ModelParams
     caps: tuple[int, int, int]
-    generator: sp.csr_matrix
+    generator_t: sp.csr_matrix
+    diag: np.ndarray
     reflected: np.ndarray
 
     @property
+    def generator(self) -> sp.csc_matrix:
+        return self.generator_t.T
+
+    @property
     def n_states(self) -> int:
-        return self.generator.shape[0]
+        return self.generator_t.shape[0]
 
     def state_index(self, i: int, j: int, k: int) -> int:
         nq, nrd, nrc = self.caps
@@ -95,13 +106,19 @@ class StationarySolution:
 
 
 def build_chain(params: ModelParams, caps: tuple[int, int, int]) -> TruncatedChain:
-    """Assemble the truncated generator with reflecting boundaries.
+    """Assemble the transposed truncated generator with reflecting boundaries.
 
     Transition rates out of (i, j, k): fresh arrivals lam to (i+1,j,k);
     service completions mu*min(i,s) split (1-q)/(q) between (i-1,j,k)
     and (i-1,j,k+1); abandonments theta*(i-s)^+ split (1-p)/(p) between
     (i-1,j,k) and (i-1,j+1,k); redials delta_rd*j to (i+1,j-1,k);
     reconnects delta_rc*k to (i+1,j,k-1).
+
+    G^T is written straight into CSR from each move's rate field: row v
+    holds the positive rates into v, sources ascending, and the diagonal
+    -out_v; the two moves to (i-1,j,k) share an entry. Out-rates and
+    reflected rates are summed in the move order above, so each entry
+    equals that of G assembled from COO triplets, then transposed.
     """
     import scipy.sparse as sp
 
@@ -113,55 +130,54 @@ def build_chain(params: ModelParams, caps: tuple[int, int, int]) -> TruncatedCha
     if n > MAX_STATES:
         raise ParameterError(f"state space size {n} exceeds limit {MAX_STATES}")
 
-    ii, jj, kk = np.indices((nq + 1, nrd + 1, nrc + 1))
-    i = ii.ravel().astype(np.int64)
-    j = jj.ravel().astype(np.int64)
-    k = kk.ravel().astype(np.int64)
-    idx = (i * (nrd + 1) + j) * (nrc + 1) + k
-
+    shape = (nq + 1, nrd + 1, nrc + 1)
+    step = ((nrd + 1) * (nrc + 1), nrc + 1, 1)
+    i, j, k = np.ogrid[: nq + 1, : nrd + 1, : nrc + 1]
     in_service = np.minimum(i, params.s).astype(float)
     excess = np.maximum(i - params.s, 0).astype(float)
+    moves = (
+        ((+1, 0, 0), params.lam),
+        ((-1, 0, 0), params.mu * in_service * (1.0 - params.q)),
+        ((-1, 0, +1), params.mu * in_service * params.q),
+        ((-1, 0, 0), params.theta * excess * (1.0 - params.p)),
+        ((-1, +1, 0), params.theta * excess * params.p),
+        ((+1, -1, 0), params.delta_rd * j.astype(float)),
+        ((+1, 0, -1), params.delta_rc * k.astype(float)),
+    )
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    reflected = np.zeros(n)
+    def box(d):  # the states from which step d stays inside the box
+        return tuple(slice(max(-s, 0), c + min(-s, 0)) for s, c in zip(d, shape))
 
-    def add(rate: np.ndarray, di: int, dj: int, dk: int) -> None:
-        ti, tj, tk = i + di, j + dj, k + dk
-        inside = (ti >= 0) & (ti <= nq) & (tj >= 0) & (tj <= nrd) & (tk >= 0) & (tk <= nrc)
-        live = rate > 0
-        keep = inside & live
-        rows.append(idx[keep])
-        cols.append(((ti * (nrd + 1) + tj) * (nrc + 1) + tk)[keep])
-        vals.append(rate[keep])
-        lost = live & ~inside
-        np.add.at(reflected, idx[lost], rate[lost])
-
-    lam = np.full(n, params.lam)
-    add(lam, +1, 0, 0)
-    add(params.mu * in_service * (1.0 - params.q), -1, 0, 0)
-    add(params.mu * in_service * params.q, -1, 0, +1)
-    add(params.theta * excess * (1.0 - params.p), -1, 0, 0)
-    add(params.theta * excess * params.p, -1, +1, 0)
-    add(params.delta_rd * j.astype(float), +1, -1, 0)
-    add(params.delta_rc * k.astype(float), +1, 0, -1)
-
-    row = np.concatenate(rows)
-    col = np.concatenate(cols)
-    val = np.concatenate(vals)
-    diag = -np.bincount(row, weights=val, minlength=n)
-    gen = sp.coo_matrix(
-        (np.concatenate([val, diag]),
-         (np.concatenate([row, np.arange(n)]), np.concatenate([col, np.arange(n)]))),
-        shape=(n, n),
-    ).tocsr()
-    gen.sum_duplicates()
-    return TruncatedChain(params=params, caps=(nq, nrd, nrc), generator=gen,
-                          reflected=reflected)
+    # one column per flat offset, sources ascending (source = target - offset);
+    # a move that never lands inside (a j step with N_RD = 0, a k step with
+    # N_RC = 0) has empty slices, so a column it shares gets nothing from it
+    offsets = sorted({0, *(np.dot(d, step) for d, _ in moves)}, reverse=True)
+    vals = np.zeros((*shape, len(offsets)))
+    out_rate = np.zeros(shape)
+    reflected = np.zeros(shape)
+    for d, rate in moves:
+        rate = np.broadcast_to(rate, shape)
+        source, target = box(d), box([-s for s in d])
+        out_rate[source] += rate[source]
+        lost = rate.copy()
+        lost[source] = 0.0
+        reflected += lost
+        vals[(*target, offsets.index(np.dot(d, step)))] += rate[source]
+    col = offsets.index(0)
+    vals[..., col] = -out_rate
+    vals = vals.reshape(n, -1)
+    nonzero = vals != 0
+    nonzero[:, col] = True
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    sources = np.arange(n, dtype=np.int32)[:, None] - np.array(offsets, dtype=np.int32)
+    gen_t = sp.csr_matrix((vals[nonzero], sources[nonzero], indptr), shape=(n, n))
+    diag = indptr[:-1] + nonzero[:, :col].sum(axis=1, dtype=np.int32)
+    return TruncatedChain(params=params, caps=(nq, nrd, nrc), generator_t=gen_t,
+                          diag=diag, reflected=reflected.ravel())
 
 
-def _solve_power(gen: sp.csr_matrix, x0: np.ndarray | None, tol: float,
+def _solve_power(chain: TruncatedChain, x0: np.ndarray | None, tol: float,
                  max_iter: int) -> tuple[np.ndarray, int]:
     # jump-chain form: pi G = 0 iff y P = y for P = I + inv(L) G with
     # L_v = 1.05 * out_rate_v and y = pi * L. Scaling by the local
@@ -170,16 +186,17 @@ def _solve_power(gen: sp.csr_matrix, x0: np.ndarray | None, tol: float,
     # self-loop probability positive so period-2 modes are damped. Any
     # positive L keeps the fixed point exact, so an absorbing state
     # (out-rate 0, e.g. the empty state when lam = 0) gets L_v = 1.
-    n = gen.shape[0]
-    out_rate = -gen.diagonal()
+    gen_t = chain.generator_t
+    n = gen_t.shape[0]
+    out_rate = -gen_t.data[chain.diag]
     lam_u = np.where(out_rate > 0, 1.05 * out_rate, 1.0)
     inv_lam = 1.0 / lam_u
-    # P^T = I + G^T inv(L), built in place on G^T's arrays; its columns sum
-    # to one, so a sweep keeps sum(y) up to rounding and y is renormalised
+    # P^T = I + G^T inv(L), sharing G^T's index arrays; its columns sum to
+    # one, so a sweep keeps sum(y) up to rounding and y is renormalised
     # only at the checks. P^T y - y = G^T pi * sum(inv_lam * y).
-    pt = gen.T.tocsr()
-    pt.data *= inv_lam[pt.indices]
-    pt.setdiag(pt.diagonal() + 1.0)
+    data = gen_t.data * inv_lam[gen_t.indices]
+    data[chain.diag] += 1.0
+    pt = type(gen_t)((data, gen_t.indices, gen_t.indptr), shape=gen_t.shape)
 
     if x0 is None:
         y = np.full(n, 1.0 / n)
@@ -235,7 +252,6 @@ def solve_stationary(
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-    gen = chain.generator
     if x0 is None:
         nq, nrd, nrc = chain.caps
         half = (max(1, nq // 2), nrd // 2, nrc // 2)
@@ -247,8 +263,8 @@ def solve_stationary(
           or np.any(x0 < 0) or x0.sum() <= 0):
         raise CTMCError("x0 must be a finite nonnegative nonzero vector over "
                         "the state space")
-    pi, iterations = _solve_power(gen, x0, tol, max_iter)
-    residual = float(np.abs(gen.T @ pi).max())
+    pi, iterations = _solve_power(chain, x0, tol, max_iter)
+    residual = float(np.abs(chain.generator_t @ pi).max())
     if residual > tol:
         raise CTMCError(f"solve residual {residual:.3e} exceeds tolerance {tol:.1e}")
 
@@ -259,7 +275,7 @@ def solve_stationary(
     p = chain.params
     e_lambda = p.lam + p.delta_rd * e_zrd + p.delta_rc * e_zrc
     redirected_rate = float(pi @ chain.reflected)
-    total_flow = float(pi @ (-gen.diagonal())) + redirected_rate
+    total_flow = float(pi @ -chain.generator_t.data[chain.diag]) + redirected_rate
     redirected_fraction = redirected_rate / total_flow if total_flow > 0 else 0.0
     return StationarySolution(
         pi=pi, e_zq=e_zq, e_zrd=e_zrd, e_zrc=e_zrc, e_lambda=e_lambda,

@@ -16,6 +16,10 @@ from typing import Iterator
 import numpy as np
 
 
+# exact as a float and inside int64, so every layer can carry an agent count
+MAX_AGENTS = 2**53
+
+
 class ParameterError(ValueError):
     """A model parameter or schedule violates its invariants."""
 
@@ -65,8 +69,8 @@ def validate(params: ModelParams) -> ModelParams:
         problems.append(f"delta_rd must be > 0, got {params.delta_rd}")
     if not params.delta_rc > 0:
         problems.append(f"delta_rc must be > 0, got {params.delta_rc}")
-    if not (isinstance(params.s, (int, np.integer)) and params.s >= 1):
-        problems.append(f"s must be an integer >= 1, got {params.s}")
+    if not (isinstance(params.s, (int, np.integer)) and 1 <= params.s <= MAX_AGENTS):
+        problems.append(f"s must be an integer in [1, 2**53], got {params.s}")
     if not 0 <= params.p <= 1:
         problems.append(f"p must be in [0, 1], got {params.p}")
     if not 0 <= params.q < 1:

@@ -341,6 +341,24 @@ class TestErrors:
         # --out is made at the first artifact, so a refusal leaves none
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["fluid"], ["simulate", "--reps", "1"], ["erlang"], ["oracle", "--caps", "6,4,4"],
+        ["validate", "--table", "single", "--reps", "1"],
+    ], ids=["fluid", "simulate", "erlang", "oracle", "validate"])
+    def test_agent_count_beyond_2_53_refused(self, tmp_path, capsys, argv):
+        # oracle used to end in an int64 OverflowError and erlang in a
+        # gammaln TypeError on this config
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["intervals"][0]["s"] = 10**23
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: s must be an integer in [1, 2**53], "
+                       "got 100000000000000000000000"]
+        assert not out.exists()
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,49 @@ def lu_reference(chain):
     b = np.zeros(chain.n_states)
     b[0] = 1.0
     return spsolve(sp.csr_matrix(a), b)
+
+
+def coo_reference(params, caps):
+    """(G, reflected) by the plain COO assembly: each move's kept triplets,
+    reflected rates by ``np.add.at`` and the diagonal by ``np.bincount``,
+    all in move order, then COO -> CSR with duplicates summed."""
+    nq, nrd, nrc = caps
+    n = (nq + 1) * (nrd + 1) * (nrc + 1)
+    ii, jj, kk = np.indices((nq + 1, nrd + 1, nrc + 1))
+    i, j, k = ii.ravel(), jj.ravel(), kk.ravel()
+    idx = (i * (nrd + 1) + j) * (nrc + 1) + k
+    in_service = np.minimum(i, params.s).astype(float)
+    excess = np.maximum(i - params.s, 0).astype(float)
+    rows, cols, vals = [], [], []
+    reflected = np.zeros(n)
+
+    def add(rate, di, dj, dk):
+        ti, tj, tk = i + di, j + dj, k + dk
+        inside = (ti >= 0) & (ti <= nq) & (tj >= 0) & (tj <= nrd) & (tk >= 0) & (tk <= nrc)
+        live = rate > 0
+        keep = inside & live
+        rows.append(idx[keep])
+        cols.append(((ti * (nrd + 1) + tj) * (nrc + 1) + tk)[keep])
+        vals.append(rate[keep])
+        lost = live & ~inside
+        np.add.at(reflected, idx[lost], rate[lost])
+
+    add(np.full(n, params.lam), +1, 0, 0)
+    add(params.mu * in_service * (1.0 - params.q), -1, 0, 0)
+    add(params.mu * in_service * params.q, -1, 0, +1)
+    add(params.theta * excess * (1.0 - params.p), -1, 0, 0)
+    add(params.theta * excess * params.p, -1, +1, 0)
+    add(params.delta_rd * j.astype(float), +1, -1, 0)
+    add(params.delta_rc * k.astype(float), +1, 0, -1)
+    row, col, val = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    diag = -np.bincount(row, weights=val, minlength=n)
+    gen = sp.coo_matrix(
+        (np.concatenate([val, diag]),
+         (np.concatenate([row, np.arange(n)]), np.concatenate([col, np.arange(n)]))),
+        shape=(n, n),
+    ).tocsr()
+    gen.sum_duplicates()
+    return gen, reflected
 
 
 def birth_death_chain(lam, mu, s, cap):
@@ -83,6 +127,37 @@ class TestBuildChain:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("params", [FIXTURE, HEAVY, replace(FIXTURE, lam=0.0)],
+                             ids=["fixture", "heavy", "lam-0"])
+    @pytest.mark.parametrize("caps", [(1, 0, 0), (3, 0, 0), (1, 1, 1), (4, 3, 0),
+                                      (5, 0, 3), (12, 8, 8)])
+    def test_transpose_matches_coo_reference_exactly(self, params, caps):
+        chain = build_chain(params, caps)
+        gen, reflected = coo_reference(params, caps)
+        want = gen.T.tocsr()
+        got = chain.generator_t
+        assert got.has_sorted_indices and want.has_sorted_indices
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        # bitwise, so a -0.0 diagonal (lam = 0, empty state) matches too
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(chain.reflected, reflected)
+        assert np.array_equal(got.data[chain.diag], want.diagonal())
+        assert (chain.generator != gen).nnz == 0
+
+    def test_build_and_solve_memory_bounded(self):
+        # about 22 MB (217 bytes per state) for the 102,541 states, against
+        # 68 MB (666 bytes per state) for COO assembly plus a transposed copy
+        tracemalloc.start()
+        try:
+            solve_stationary(build_chain(FIXTURE, (60, 40, 40)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 33e6
 
 
 class TestSolve:

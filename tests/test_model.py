@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitq.model import (
     EMPTY_STATE,
+    MAX_AGENTS,
     FluidState,
     ModelParams,
     ParameterError,
@@ -73,6 +74,14 @@ class TestModelParams:
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ParameterError):
             validate(small_params(**{field: value}))
+
+    def test_agent_count_bounded_by_2_53(self):
+        # exact as a float and inside int64, so every layer can carry it
+        assert MAX_AGENTS == 2**53
+        assert validate(small_params(s=MAX_AGENTS)).s == 2**53
+        for s in (MAX_AGENTS + 1, np.uint64(2**64 - 1), 10**23):
+            with pytest.raises(ParameterError, match=r"s must be an integer in \[1, 2\*\*53\]"):
+                validate(small_params(s=s))
 
     def test_q_of_one_mentions_divergence(self):
         with pytest.raises(ParameterError, match="diverge"):

@@ -13,8 +13,9 @@ run in each. It also times ``integrate_schedule`` and
 checkouts, on a quiet host and with a busy loop of its own on another core,
 each figure the median over several fresh processes per side, the sides
 alternating, and times whole ``orbitq`` subcommands on the reference
-config, each in a fresh process, import included (``cli_process_s``). It
-writes
+config and ``oracle --caps 60,40,40`` on the criterion-4 fixture, each in a
+fresh process, import included (``cli_process_s``), with each process's
+own peak RSS (``cli_process_rss_mb``). It writes
 ``BENCH_<date>_<sha>.json`` at the repository root: per metric, each
 side's median and quartiles (statistics.quantiles, n=4), every run's value
 and the pairs the change won, with the machine it ran on. A run whose
@@ -75,12 +76,27 @@ TIMED_CALLS = ("integrate_schedule", "write_trajectory_csv")
 TIMER_PROCESSES = 6
 
 
-# subcommands timed end to end in a fresh process, on the reference config
+# runs argv[1:] as one process and prints its wall time, spawn to exit, and
+# its peak RSS in MB from its own rusage; a bare interpreter spawns it,
+# because a child's ru_maxrss also counts the process it was spawned from
+SPAWNER = """
+import json, os, sys, time
+t = time.perf_counter()
+_, status, usage = os.wait4(os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ), 0)
+seconds = time.perf_counter() - t
+if os.waitstatus_to_exitcode(status):
+    sys.exit(os.waitstatus_to_exitcode(status))
+print(json.dumps([seconds, usage.ru_maxrss / 1024]))
+"""
+
+# subcommands timed end to end in a fresh process, each on the named
+# config of bench/run.py: the reference one, or the criterion-4 fixture
 CLI_CALLS = {
-    "fluid": ["fluid"],
-    "erlang": ["erlang", "--block", "60"],
-    "simulate": ["simulate", "--reps", "1"],
-    "oracle": ["oracle", "--caps", "30,20,20"],
+    "fluid": ("reference", ["fluid"]),
+    "erlang": ("reference", ["erlang", "--block", "60"]),
+    "simulate": ("reference", ["simulate", "--reps", "1"]),
+    "oracle": ("reference", ["oracle", "--caps", "30,20,20"]),
+    "oracle_fixture_60_40_40": ("fixture", ["oracle", "--caps", "60,40,40"]),
 }
 
 
@@ -89,7 +105,8 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def last_json(cmd: list[str], cwd: Path | None, what: str, timeout: int):
+def last_json(cmd: list[str], cwd: Path | None, what: str, timeout: int,
+              env: dict | None = None):
     """The JSON value on the last stdout line of ``cmd``, or exit with one line.
 
     A run that times out, prints nothing or ends in a line that is not JSON
@@ -97,7 +114,7 @@ def last_json(cmd: list[str], cwd: Path | None, what: str, timeout: int):
     status and the tail of its stderr.
     """
     try:
-        done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True,
+        done = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True,
                               timeout=timeout)
     except subprocess.TimeoutExpired:
         sys.exit(f"error: {what}: no result after {timeout} s")
@@ -160,35 +177,42 @@ def call_figures(sides: dict[str, Path], call: str, repeats: int) -> dict:
 
 
 def cli_process_times(sides: dict[str, Path], repeats: int) -> dict:
-    """Median wall time of each of CLI_CALLS per side, each call a fresh
-    ``python -m orbitq.cli`` process, the sides alternating call by call.
+    """Wall time and peak RSS of each of CLI_CALLS per side, each call a
+    fresh ``python -m orbitq.cli`` process, the sides alternating call by
+    call; per call, the spread on each side and the pairs the change won.
 
     One untimed call per subcommand and side first writes the bytecode.
     """
     sys.path.insert(0, str(ROOT / "bench"))
-    from run import reference_config
+    from run import fixture_config, reference_config
 
-    times = {side: {name: [] for name in CLI_CALLS} for side in sides}
+    runs = {metric: {side: {name: [] for name in CLI_CALLS} for side in sides}
+            for metric in ("s", "rss_mb")}
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "reference.json"
-        config.write_text(json.dumps(reference_config(0)), encoding="utf-8")
+        configs = {}
+        for config, make in (("reference", reference_config), ("fixture", fixture_config)):
+            configs[config] = Path(tmp) / f"{config}.json"
+            configs[config].write_text(json.dumps(make(0)), encoding="utf-8")
         for i in range(repeats + 1):
-            for name, argv in CLI_CALLS.items():
+            for name, (config, argv) in CLI_CALLS.items():
                 for side in sides if i % 2 == 0 else reversed(list(sides)):
                     cmd = [sys.executable, "-m", "orbitq.cli", *argv,
-                           "--config", str(config), "--out", f"{tmp}/{side}-{name}"]
+                           "--config", str(configs[config]),
+                           "--out", f"{tmp}/{side}-{name}"]
                     env = {**os.environ, "PYTHONPATH": str(sides[side] / "src")}
-                    t = time.perf_counter()
-                    done = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                                          timeout=600)
-                    elapsed = time.perf_counter() - t
-                    if done.returncode != 0:
-                        sys.exit(f"error: {side} orbitq {name}: exit {done.returncode}: "
-                                 f"{done.stderr.strip()}")
+                    seconds, rss = last_json([sys.executable, "-c", SPAWNER, *cmd], None,
+                                             f"{side} orbitq {name}", 600, env)
                     if i:
-                        times[side][name].append(elapsed)
-    return {side: {name: spread(runs) for name, runs in by_name.items()}
-            for side, by_name in times.items()}
+                        runs["s"][side][name].append(seconds)
+                        runs["rss_mb"][side][name].append(rss)
+    return {metric: {
+        **{side: {name: spread(values) for name, values in by_name.items()}
+           for side, by_name in by_side.items()},
+        "change_wins": {name: sum(c < p for p, c in zip(by_side["parent"][name],
+                                                         by_side["change"][name]))
+                        for name in CLI_CALLS},
+        "pairs_compared": repeats,
+    } for metric, by_side in runs.items()}
 
 
 def main() -> int:
@@ -257,7 +281,8 @@ def main() -> int:
                 "loadavg_at_start": load},
         **{f"{call}_two_peak_week_seed1": call_figures(sides, call, args.repeats)
            for call in TIMED_CALLS},
-        "cli_process_s": cli_process_times(sides, args.repeats),
+        **{f"cli_process_{metric}": figures
+           for metric, figures in cli_process_times(sides, args.repeats).items()},
         "workloads": workloads,
     }
     date = datetime.date.today().isoformat()
