@@ -13,6 +13,10 @@ matrix exponentials (Van Loan's augmented form), switching sides at the
 located crossing times; the exponentials are scaling-and-squaring Padé
 approximants on numpy alone (Higham 2005). The powers of one step's
 exponential carry the state across a run of grid nodes in one product.
+A crossing is located by safeguarded Newton steps on the exact path,
+started at the root of the same probe in modal form, from the
+eigendecomposition of the state block (Moler & Van Loan 2003): that
+form only picks the start, and the exact test on the exponential decides.
 The same loop, at one step per interval, gives each interval's mean total
 arrival rate lam + delta_rd*z_rd + delta_rc*z_rc exactly, from one more
 component that integrates the orbit part; that drives the Erlang-A step.
@@ -46,6 +50,10 @@ from .model import (
 _MAX_NEWTON = 100
 # values, and Newton steps, below this fraction of their scale are rounding
 _RTOL = 1e-12
+# passes of s allowed in one step. Exact paths in the tests pass s at most
+# twice in a step; with a stiff theta, rounding can keep the computed
+# path passing s at steps too short to finish the step
+_MAX_PASSES = 100
 # most grid steps one scan advances: it bounds the step powers and nodes
 # held at once (about 200 bytes a step) on a grid of any length
 _SCAN_STEPS = 4096
@@ -145,6 +153,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     out[:-1, -1] *= scale
+    # the generator's last row is 0, so the exponential's is exactly e_n;
+    # rounding there would drift w's homogeneous coordinate off 1
+    out[-1] = _EYE[-1, -len(a):]
     return out
 
 
@@ -183,24 +194,93 @@ def _regimes(lam: float, s: int, schedule: Schedule) -> list[tuple[np.ndarray, n
             for m, sign, r in ((below, 1.0, -d_rd), (above, -1.0, -d_rc))]
 
 
-def _root(row: np.ndarray, gen: np.ndarray, w: np.ndarray,
-          span: float) -> tuple[float, np.ndarray]:
+def _newton(evaluate, span: float, t: float) -> tuple[float, np.ndarray | None]:
+    """Safeguarded Newton steps from t on f, <= 0 at 0 and > 0 at ``span``,
+    where evaluate(t) = (f(t), f'(t), the rounding level of f(t), state):
+    (t, state) once |f(t)| is down to rounding, else (t, None) once a step
+    is, or the steps run out. A step that would leave the bracket halves
+    it instead."""
+    lo, hi = 0.0, span
+    for _ in range(_MAX_NEWTON):
+        f, df, tol, state = evaluate(t)
+        if abs(f) <= tol:
+            return t, state
+        lo, hi = (lo, t) if f > 0 else (t, hi)
+        step = f / df if df else math.inf
+        if abs(step) <= _RTOL * span:
+            return min(max(t - step, lo), hi), None
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+    return t, None
+
+
+# eigenvalues, V and V^-1 of a state block A = V diag(eigenvalues) V^-1
+_Modes = tuple[list[float], np.ndarray, np.ndarray]
+
+
+def _modes(gen: np.ndarray) -> _Modes | None:
+    """The modal form of the state block A of ``gen``, or None where its
+    eigen data are complex or non-finite or V is singular to rounding, as
+    for a defective A. A is a Metzler matrix whose columns sum to at most
+    0, so its eigenvalues lie in Re <= 0: rounding above 0, as at the zero
+    eigenvalue of p = 1 above s, is clipped to 0."""
+    try:
+        lam, v = np.linalg.eig(gen[:3, :3])
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return None
+    if (np.iscomplexobj(lam) or not (np.isfinite(lam).all() and np.isfinite(vinv).all())
+            or abs(v).sum(axis=0).max() * abs(vinv).sum(axis=0).max() > 1 / _RTOL):
+        return None
+    return np.minimum(lam, 0.0).tolist(), v, vinv
+
+
+def _modal_start(row: np.ndarray, gen: np.ndarray, w: np.ndarray, span: float,
+                 modes: _Modes) -> float:
+    """The root in (0, span) of f(t) = row @ expm(t gen) w in modal form,
+    else span / 2. With z' = A z + c and A = V diag(l) V^-1, a probe that
+    does not read y is f(t) = r_c + sum_j h_j (e^(l_j t) b_j + g_j phi_j(t)),
+    h = r_z V, b = V^-1 z(0), g = V^-1 c, phi_j(t) = expm1(l_j t) / l_j, or
+    t where l_j = 0: Newton on three exponentials of scalars."""
+    lam, v, vinv = modes
+    h = row[:3] @ v
+    hb, hg = (h * (vinv @ w[:3])).tolist(), (h * (vinv @ gen[:3, -1]) * w[-1]).tolist()
+    const = float(row[-1] * w[-1])
+    if not all(map(math.isfinite, [*hb, *hg, const])):
+        return 0.5 * span
+
+    def scalar(t: float) -> tuple[float, float, float, None]:
+        f, df, scale = const, 0.0, abs(const)
+        for ev, b, g in zip(lam, hb, hg):
+            e = math.exp(ev * t)
+            phi = math.expm1(ev * t) / ev if ev else t
+            f += b * e + g * phi
+            df += e * (ev * b + g)
+            scale += abs(b * e) + abs(g * phi)
+        return f, df, _RTOL * scale, None
+
+    t = _newton(scalar, span, 0.5 * span)[0]
+    return t if 0.0 < t < span else 0.5 * span
+
+
+def _root(row: np.ndarray, gen: np.ndarray, w: np.ndarray, span: float,
+          modes: _Modes | None) -> tuple[float, np.ndarray]:
     """(t, expm(t gen) w) where f(t) = row @ expm(t gen) w, <= 0 at 0 and > 0
     at ``span``, changes sign: Newton steps on f' = row @ gen @ expm(t gen) w,
-    halving the bracket instead where a step would leave it."""
-    lo, hi, t, slope = 0.0, span, 0.5 * span, row @ gen
-    for _ in range(_MAX_NEWTON):
+    halving the bracket instead where a step would leave it.
+
+    Newton starts at the root of f's modal form where ``modes`` (from
+    ``_modes``) is given and that form has one in (0, span), else at
+    span / 2. Only the start rests on the eigenvectors: every step and the
+    stopping test read the exact expm(t gen) w."""
+    slope = row @ gen
+
+    def exact(t: float) -> tuple[float, float, float, np.ndarray]:
         wt = _expm(t * gen) @ w
-        f = row @ wt
-        if abs(f) <= _RTOL * (abs(row) @ abs(wt)):
-            return t, wt
-        lo, hi = (lo, t) if f > 0 else (t, hi)
-        step = f / df if (df := slope @ wt) else math.inf
-        if abs(step) <= _RTOL * span:
-            t = min(max(t - step, lo), hi)
-            return t, _expm(t * gen) @ w
-        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-    return t, _expm(t * gen) @ w
+        return row @ wt, slope @ wt, _RTOL * (abs(row) @ abs(wt)), wt
+
+    start = 0.5 * span if modes is None else _modal_start(row, gen, w, span, modes)
+    t, wt = _newton(exact, span, start)
+    return t, _expm(t * gen) @ w if wt is None else wt
 
 
 def _lands(probes: np.ndarray, f: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -230,7 +310,7 @@ def _quiet(probes: np.ndarray, path: np.ndarray) -> np.ndarray:
 
 
 def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndarray,
-                span: float) -> tuple[float, np.ndarray] | None:
+                span: float, modes: _Modes | None) -> tuple[float, np.ndarray] | None:
     """First (time, state) in (0, span] at which z_q on w(t) = expm(t gen) w
     passes s, or None; ``end`` is w(span).
 
@@ -239,7 +319,10 @@ def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndar
     Where d1 keeps its sign, exp(-r t) d is monotone, so d changes sign at
     most once, and where d keeps its sign, z_q is monotone. Cutting the
     span where d1 and then d change sign leaves at most three pieces on
-    each of which a check at the end finds a pass.
+    each of which a check at the end finds a pass. Each cut and the pass
+    are roots that ``_root`` finds from the root of the modal form given
+    by ``modes``, and the exact test decides; the pass usually costs one
+    exponential.
     """
     times, states = [0.0, span], [w, end]
     if _quiet(probes, np.stack(states))[0]:
@@ -269,13 +352,14 @@ def _first_pass(gen: np.ndarray, probes: np.ndarray, w: np.ndarray, end: np.ndar
             if (fa < 0 < fb or fb < 0 < fa) and min(abs(fa), abs(fb)) > (
                     _RTOL * (abs(probes[j]) @ (abs(wa) + abs(wb)))):
                 tau, state = _root(probes[j] if fb > 0 else -probes[j], gen, wa,
-                                   times[i] - times[i - 1])
+                                   times[i] - times[i - 1], modes)
                 states.insert(i, state)
                 times.insert(i, times[i - 1] + tau)
                 values.insert(i, (probes @ states[i]).tolist())
     for i in range(1, len(times)):
         if values[i][0] > band:
-            tau, state = _root(probes[0], gen, states[i - 1], times[i] - times[i - 1])
+            tau, state = _root(probes[0], gen, states[i - 1], times[i] - times[i - 1],
+                               modes)
             return times[i - 1] + tau, state
     return None
 
@@ -296,11 +380,15 @@ def _propagate(schedule: Schedule, z0: FluidState, counts: list[int]) -> tuple[n
     ``_SCAN_STEPS`` steps in one product, up to the first step in which
     z_q may pass s. That step is taken alone: the crossing is located by
     Newton steps on the exact solution, z_q is set to s there and the step
-    goes on from the other side.
+    goes on from the other side. More than ``_MAX_PASSES`` passes in one
+    step, as when rounding holds z_q on s, end the solve.
     """
     values = np.empty((1 + sum(counts), 5))
     values[0] = w = np.array([*z0.as_array(), 0.0, 1.0])
     k = switches = 0
+    # each side's modal form for the crossing searches: its state block is
+    # the same in every interval, so it is taken once, when first needed
+    modal: dict[int, _Modes | None] = {}
     for (t0, t1, lam, s), n in zip(schedule.intervals(), counts):
         h = (t1 - t0) / n
         regimes = _regimes(lam, s, schedule)
@@ -323,7 +411,7 @@ def _propagate(schedule: Schedule, z0: FluidState, counts: list[int]) -> tuple[n
             if j == len(run):
                 continue
             # that one step, with its passes of s located
-            left = h
+            left, passes = h, 0
             while True:
                 above = _above(w, s, drift_above)
                 gen, probes = regimes[above]
@@ -331,9 +419,16 @@ def _propagate(schedule: Schedule, z0: FluidState, counts: list[int]) -> tuple[n
                 nxt = (tables[above][0] if whole else _expm(left * gen)) @ w
                 if not all(map(math.isfinite, nxt.tolist())):
                     raise FluidIntegrationError(f"non-finite fluid state after t={t0}")
-                switch = _first_pass(gen, probes, w, nxt, left)
+                if above not in modal:
+                    modal[above] = _modes(gen)
+                switch = _first_pass(gen, probes, w, nxt, left, modal[above])
                 if switch is None:
                     break
+                passes += 1
+                if passes > _MAX_PASSES:
+                    raise FluidIntegrationError(
+                        f"z_q passes s more than {_MAX_PASSES} times in the step at "
+                        f"t={t0 + (k - stop + n) * h:g}: rounding holds it on s")
                 tau, w = switch
                 w[0] = s
                 left -= tau

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbitq
 from orbitq.cli import main
 
 CONFIG = {
@@ -154,6 +159,35 @@ class TestErlangCommand:
             sl, ap = (float(c) for c in row.split(",")[5:7])
             assert math.isfinite(sl) and 0.0 <= sl <= 1.0
             assert math.isfinite(ap) and 0.0 <= ap <= 1.0
+
+
+class TestStiffPatience:
+    # With theta of 3e6 and up, rounding in the exponentials above s once
+    # drifted w's homogeneous coordinate off 1 and left z_q on s, finding a
+    # pass 4e-32 minutes on over and over; from 1e12 on the computed path
+    # keeps passing s at steps too short to finish a grid step. Each run is
+    # a fresh process, so a run that does not end fails the test rather
+    # than hanging the suite.
+    @pytest.mark.parametrize("command, artifact", [
+        ("fluid", "trajectory.csv"), ("erlang", "performance.csv")])
+    @pytest.mark.parametrize("theta, finishes", [(5e6, True), (1e300, False)])
+    def test_ends_within_seconds(self, tmp_path, command, artifact, theta, finishes):
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(dict(CONFIG, theta=theta)), encoding="utf-8")
+        out = tmp_path / "o"
+        src = str(Path(orbitq.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "orbitq.cli", command, "--config",
+                              str(path), "--out", str(out)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        if finishes:
+            assert run.returncode == 0, run.stderr
+            assert (out / artifact).exists()
+        else:
+            assert run.returncode == 1
+            assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+            assert not out.exists()
 
 
 class TestOracleCommand:

@@ -24,12 +24,17 @@ from orbitq.model import (
     single_interval,
 )
 from orbitq.erlang import psa_performance
+from orbitq.validation import two_peak_schedule
+import orbitq.fluid as fluid
 from orbitq.fluid import (
+    _RTOL,
     _SCAN_STEPS,
     FluidIntegrationError,
     Regime,
     _expm,
+    _modes,
     _regimes,
+    _root,
     drift,
     integrate_schedule,
     interval_arrival_rates,
@@ -295,6 +300,17 @@ class TestReference:
         assert np.all(np.diff(traj.z_q) <= 1e-12)
 
 
+def reference_expm(m):
+    """scipy's expm of m, read off the exponential of [[m, 0], [I, 0]],
+    which is [[expm(m), 0], [*, I]]. The border keeps scipy off its path
+    for triangular input, whose superdiagonal formula (e^a - e^b) / (a - b)
+    loses every digit where two diagonal entries are an ulp apart: 0.5 for
+    e^-1 in the example below."""
+    n = len(m)
+    border = np.block([[m, np.zeros((n, n))], [np.eye(n), np.zeros((n, n))]])
+    return expm(border)[:n, :n]
+
+
 class TestExpm:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -307,6 +323,10 @@ class TestExpm:
         # 1-norm of the balanced exponent, 1e-6 .. 1e3
         log_norm=st.floats(-6.0, 3.0),
     )
+    # theta and delta_rd one ulp apart: above s with p = q = 0 the state
+    # block is upper triangular with two diagonal entries that close
+    @example(rates=(0.05, 0.010000000000000002, 0.01, 0.05), p=0.0, q=0.0, lam=0.0,
+             s=1, log_norm=1.0)
     def test_matches_scipy(self, rates, p, q, lam, s, log_norm):
         mu, theta, d_rd, d_rc = rates
         sch = SimpleNamespace(mu=mu, theta=theta, p=p, q=q, delta_rd=d_rd, delta_rc=d_rc)
@@ -320,10 +340,96 @@ class TestExpm:
                 col[-1] = 2.0 ** (math.frexp(abs(gen[:-1, -1]).max())[1]
                                   - math.frexp(abs(gen[:-1, :-1]).max())[1])
                 m = gen * (10.0 ** log_norm / abs(gen / col).sum(axis=0).max())
-                ref = expm(m / col)
+                ref = reference_expm(m / col)
                 norm = abs(m / col).sum(axis=0).max()
                 gap = abs(_expm(m)[:-1] / col - ref[:-1]).sum(axis=0).max()
                 assert gap <= 1e-12 * max(1.0, norm) * abs(ref).sum(axis=0).max()
+
+
+# the two-peak day of the validation tables, staffed per interval
+TWO_PEAK_BASE = ModelParams(lam=40.0, s=1, mu=0.25, theta=0.5, p=0.5, q=0.1,
+                            delta_rd=0.05, delta_rc=0.01)
+# interval_arrival_rates and regime switches on two_peak_schedule(TWO_PEAK_BASE,
+# rho_hat) as the solve gave them with each crossing search started at the
+# span's midpoint
+TWO_PEAK_FROZEN = {
+    0.9: (6, (22.23371179478306, 30.83074608818527, 41.52366935950535,
+              52.31435736499779, 59.138097532672305, 55.82023987812754,
+              48.216532965741266, 42.31736730944617, 40.26687794873749,
+              46.26642827518276, 52.42156095410709, 56.676413445512516,
+              50.870654820589266, 41.00583781747426, 32.81627446452264,
+              24.57269838389747)),
+    1.2: (5, (22.453686672857494, 31.800484766072476, 43.343943656734695,
+              55.15287145048714, 63.25183924085452, 61.41585265141781,
+              54.71599400103276, 48.951226452982574, 46.6017268741594,
+              51.98738299619996, 58.05326207863582, 62.64370779416939,
+              57.683499380287884, 48.045472747251125, 39.38473280854143,
+              30.31416462317561)),
+    1.5: (3, (23.218878408411864, 34.34845925207274, 47.50411043576404,
+              60.995100065347685, 70.55779466828137, 69.35496718442008,
+              62.34165407929197, 55.74102743662779, 52.60734176466603,
+              57.9880932677246, 64.61691534614711, 69.8602832829938,
+              64.938719658237, 54.4741495716093, 44.69575207928622,
+              34.4467184843879)),
+}
+
+
+class TestCrossingSearch:
+    @pytest.mark.parametrize("rho", sorted(TWO_PEAK_FROZEN))
+    def test_two_peak_day_keeps_its_values(self, rho):
+        switches, rates = TWO_PEAK_FROZEN[rho]
+        sch = two_peak_schedule(TWO_PEAK_BASE, rho)
+        assert np.allclose(interval_arrival_rates(sch), rates, rtol=1e-12, atol=0.0)
+        assert integrate_schedule(sch).regime_switches == switches
+
+    def test_one_exponential_per_step_and_root(self, monkeypatch):
+        # the counts are deterministic: with each search started at the root
+        # of the modal form the exact test mostly holds at once, where a start
+        # at the midpoint took 180 exponentials for 16 intervals and 20 roots
+        calls = {"_expm": 0, "_root": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(fluid, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(fluid, name, counted)
+        sch = two_peak_schedule(TWO_PEAK_BASE, 0.9)
+        interval_arrival_rates(sch)
+        assert calls["_root"] > 0
+        assert calls["_expm"] <= 2 * (sch.m + calls["_root"])
+
+    @pytest.mark.parametrize("rates, p, q, side, z0, modal", [
+        # the tie with p = q = 0: a defective state block on both sides,
+        # so the search starts at the midpoint
+        ((0.5,) * 4, 0.0, 0.0, 0, (0.0, 0.0, 0.0), False),
+        ((0.5,) * 4, 0.0, 0.0, 1, (6.0, 0.0, 0.0), False),
+        # the tie with p, q > 0: repeated rates but distinct eigenvalues
+        ((0.5,) * 4, 0.5, 0.5, 0, (0.0, 0.0, 0.0), True),
+        # p = 1 above s: a zero eigenvalue
+        ((0.5, 0.5, 0.05, 0.01), 1.0, 0.1, 1, (6.0, 0.0, 0.0), True),
+    ])
+    def test_degenerate_spectra(self, rates, p, q, side, z0, modal):
+        mu, theta, d_rd, d_rc = rates
+        sch = SimpleNamespace(mu=mu, theta=theta, p=p, q=q, delta_rd=d_rd, delta_rc=d_rc)
+        # lam = 3 fills the queue past s = 4 below it; above it, mu s = 2 > lam = 1
+        # drains it back to s
+        gen, probes = _regimes(3.0 if side == 0 else 1.0, 4, sch)[side]
+        row, w, span = probes[0], np.array([*z0, 0.0, 1.0]), 40.0
+        modes = _modes(gen)
+        assert (modes is not None) == modal
+        if modal and p == 1.0:
+            assert 0.0 in modes[0]
+
+        def exact(t):
+            return row @ reference_expm(t * gen) @ w
+
+        assert exact(0.0) <= 0.0 < exact(span)
+        lo, hi = 0.0, span
+        for _ in range(60):
+            lo, hi = (lo, 0.5 * (lo + hi)) if exact(0.5 * (lo + hi)) > 0 else (0.5 * (lo + hi), hi)
+        t, wt = _root(row, gen, w, span, modes)
+        assert abs(row @ wt) <= _RTOL * (abs(row) @ abs(wt))
+        assert np.array_equal(wt, _expm(t * gen) @ w)
+        assert abs(t - 0.5 * (lo + hi)) <= 1e-9 * span
 
 
 def test_fluid_solve_imports_no_scipy_linalg():

@@ -9,10 +9,13 @@ Usage, from the repository root, with the parent commit unpacked apart:
 For each workload in BENCHMARK.json it runs ``bench/run.py --trace 0`` in
 both checkouts, alternating which side runs first, then one ``--trace 1``
 run in each. It also times ``integrate_schedule`` and
-``write_trajectory_csv`` on the ``two-peak-week`` seed-1 config in both
-checkouts, on a quiet host and with a busy loop of its own on another core,
-each figure the median over several fresh processes per side, the sides
-alternating, and times whole ``orbitq`` subcommands on the reference
+``write_trajectory_csv`` on the ``two-peak-week`` seed-1 config, and
+``interval_arrival_rates`` on that config refined to 60-minute blocks: the
+rate solve inside ``erlang --block 60``, which the traced benchmark cannot
+split out of ``erlang.psa_s``. It times each in both checkouts, on a quiet
+host and with a busy loop of its own on another core, each figure the
+median over several fresh processes per side, the sides alternating. It
+then times whole ``orbitq`` subcommands on the reference
 config and ``oracle --caps 60,40,40`` on the criterion-4 fixture, each in a
 fresh process, import included (``cli_process_s``), with each process's
 own peak RSS (``cli_process_rss_mb``). It writes
@@ -52,15 +55,18 @@ import json, sys, tempfile, time
 from pathlib import Path
 sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/bench']
 from run import week_config
-from orbitq.fluid import integrate_schedule, write_trajectory_csv
+from orbitq.fluid import integrate_schedule, interval_arrival_rates, write_trajectory_csv
 from orbitq.model import schedule_from_dict
+from orbitq.validation import refine_schedule
 schedule = schedule_from_dict(week_config(1))
+blocks = refine_schedule(schedule, 60.0)
 traj = integrate_schedule(schedule, grid_step=0.1)
 with tempfile.TemporaryDirectory() as tmp:
     call = {
         "integrate_schedule": lambda: integrate_schedule(schedule, grid_step=0.1),
         "write_trajectory_csv":
             lambda: write_trajectory_csv(Path(tmp) / "t.csv", traj, schedule),
+        "interval_arrival_rates": lambda: interval_arrival_rates(blocks),
     }[sys.argv[3]]
     call()
     times = []
@@ -70,7 +76,7 @@ with tempfile.TemporaryDirectory() as tmp:
         times.append(time.perf_counter() - t)
 print(json.dumps(times))
 """
-TIMED_CALLS = ("integrate_schedule", "write_trajectory_csv")
+TIMED_CALLS = ("integrate_schedule", "write_trajectory_csv", "interval_arrival_rates")
 # one process's speed can sit in one of two modes on a 2-vCPU host, so each
 # figure pools the per-process medians of several fresh processes per side
 TIMER_PROCESSES = 6
